@@ -14,7 +14,7 @@ Run:
 import numpy as np
 
 from grassdense import oracle_decide, parse
-from grassdense.oracle import random_prime
+from grassdense.linalg import random_prime
 
 
 def table(text: str, seeds=range(6)) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import DimensionVector, Status, Verdict
 from .oracle import oracle_decide
@@ -212,13 +212,11 @@ class Engine:
     # -- oracle fallback ---------------------------------------------------
 
     def decide_with_oracle(self, d: DimensionVector, budget: Optional[int] = None,
-                           samples: int = 3, seed: int = 0,
-                           primes: Optional[Iterable[int]] = None,
-                           mode: str = "modular") -> Verdict:
+                           samples: int = 3, seed: int = 0) -> Verdict:
         verdict = self.decide(d, budget=budget)
         if verdict.status is not Status.UNKNOWN:
             return verdict
-        report = oracle_decide(d, samples=samples, primes=primes, mode=mode, seed=seed)
+        report = oracle_decide(d, samples=samples, seed=seed)
         status = Status.DENSE if report.is_dense else Status.SPARSE
         return Verdict(status, trivially_sparse=d.is_trivially_sparse, oracle=report)
 
@@ -327,8 +325,5 @@ def decide(d: DimensionVector, budget: int = 50_000) -> Verdict:
 
 
 def decide_with_oracle(d: DimensionVector, budget: Optional[int] = None,
-                       samples: int = 3, seed: int = 0,
-                       primes: Optional[Iterable[int]] = None,
-                       mode: str = "modular") -> Verdict:
-    return _DEFAULT_ENGINE.decide_with_oracle(
-        d, budget=budget, samples=samples, seed=seed, primes=primes, mode=mode)
+                       samples: int = 3, seed: int = 0) -> Verdict:
+    return _DEFAULT_ENGINE.decide_with_oracle(d, budget=budget, samples=samples, seed=seed)

@@ -2,13 +2,11 @@
 
 Modular elimination is the workhorse: entries live in [0, p) with p just
 below 2^31, so a product of two residues fits in an int64 and the inner
-update of Gaussian elimination vectorizes in numpy.  The rational routines
-(fraction-free Bareiss) are the slow exact cross-check for small instances.
+update of Gaussian elimination vectorizes in numpy.  Fraction-free Bareiss
+elimination is the slow exact rank over Q for small instances.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,11 +48,11 @@ def random_prime(rng: np.random.Generator, lo: int = 2**30 + 1, hi: int = 2**31)
             return c
 
 
-def _eliminate(m: np.ndarray, p: int, reduced: bool) -> list[int]:
+def _eliminate(m: np.ndarray, p: int) -> list[int]:
     """In-place row echelon form of int64 matrix mod p; returns pivot columns.
 
-    reduced=True also clears above the pivots (RREF).  Row updates are
-    vectorized; residue * residue < p^2 < 2^62 keeps everything in int64.
+    Row updates are vectorized; residue * residue < p^2 < 2^62 keeps
+    everything in int64.
     """
     rows, cols = m.shape
     pivots: list[int] = []
@@ -71,9 +69,6 @@ def _eliminate(m: np.ndarray, p: int, reduced: bool) -> list[int]:
         inv = pow(int(m[r, c]), -1, p)
         m[r, c:] = m[r, c:] * inv % p
         targets = np.nonzero(m[r + 1 :, c])[0] + r + 1
-        if reduced:
-            above = np.nonzero(m[:r, c])[0]
-            targets = np.concatenate([above, targets])
         if targets.size:
             m[targets, c:] = (m[targets, c:] - np.outer(m[targets, c], m[r, c:])) % p
         pivots.append(c)
@@ -86,31 +81,7 @@ def mod_rank(a: np.ndarray, p: int) -> int:
     m = np.asarray(a, dtype=np.int64) % p
     if m.size == 0:
         return 0
-    return len(_eliminate(m, p, reduced=False))
-
-
-def mod_row_reduce(a: np.ndarray, p: int) -> np.ndarray:
-    """Row echelon basis of the row space over Z/p (rank-many rows)."""
-    m = np.asarray(a, dtype=np.int64) % p
-    if m.size == 0:
-        return m.reshape(0, m.shape[1] if m.ndim == 2 else 0)
-    pivots = _eliminate(m, p, reduced=False)
-    return m[: len(pivots)]
-
-
-def mod_nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right nullspace over Z/p, as columns of a (cols x nullity)
-    int64 matrix.  Standard RREF back-substitution on the free columns."""
-    m = np.asarray(a, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots = _eliminate(m, p, reduced=True) if m.size else []
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-int(m[i, fc])) % p
-    return basis
+    return len(_eliminate(m, p))
 
 
 def bareiss_rank(a) -> int:
@@ -142,37 +113,3 @@ def bareiss_rank(a) -> int:
         rank += 1
         r += 1
     return rank
-
-
-def rational_nullspace(a) -> list[list[Fraction]]:
-    """Exact right-nullspace basis over Q (list of column vectors)."""
-    m = [[Fraction(int(x)) for x in row] for row in np.asarray(a)]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis

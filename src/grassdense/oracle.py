@@ -3,19 +3,26 @@
 The diagonal action has a dense orbit iff a generic configuration's
 stabilizer in PGL(n) has dimension exactly
 
-    expected = n^2 - 1 - sum d_i (n - d_i),
+    expected = n^2 - 1 - sum d_i (n - d_i).
 
-and by upper semicontinuity of stabilizer dimension a *single* sampled point
-achieving the expected dimension already certifies density (the witness is a
-certificate; it transfers across characteristic by spreading out).  Sparse
+Each subspace is sampled in the affine chart of Gr(d_i, n) spanned by the
+columns of U_i = [I_{d_i}; A_i], with A_i a random (n - d_i) x d_i matrix.
+Q_i = [-A_i | I_{n - d_i}] satisfies Q_i U_i = 0 and has full row rank, so it
+is a left annihilator of U_i with no nullspace computation and no redraws.
+The stabilizer Lie algebra is cut out of gl(n) by g U_i <= U_i, i.e.
+Q_i g U_i = 0: d_i (n - d_i) linear equations per subspace on the n^2
+entries of g, stacked into one system and reduced by one rank computation,
+over F_p (modular mode) or over Q (rational mode, prime None).
+
+Soundness.  A chart sample is a point of the product of Grassmannians, so
+by upper semicontinuity of stabilizer dimension a *single* sample achieving
+the expected dimension already certifies density (the witness transfers
+across characteristic by spreading out).  Each chart is Zariski-open and
+dense in its Grassmannian, so a random chart point attains the generic
+stabilizer dimension with the same probability as any random point.  Sparse
 verdicts from sampling are one-sided Monte Carlo: every sample's stabilizer
 exceeding `expected` is evidence, with error probability shrinking in
 samples x primes.
-
-The stabilizer Lie algebra of a configuration (U_1, ..., U_k) is cut out of
-gl(n) by the conditions g U_i <= U_i, i.e.  Q_i g U_i = 0 with Q_i a left
-annihilator of U_i; that is d_i (n - d_i) linear equations per subspace on
-the n^2 entries of g.
 """
 
 from __future__ import annotations
@@ -23,27 +30,20 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import DimensionVector
-from .linalg import (
-    bareiss_rank,
-    mod_nullspace,
-    mod_rank,
-    mod_row_reduce,
-    random_prime,
-    rational_nullspace,
-)
+from .linalg import bareiss_rank, mod_rank, random_prime
 
 log = logging.getLogger(__name__)
 
-_REDRAW_CAP = 32
-# Rational mode draws integer entries from a window wide enough that the
-# degeneracy locus (a hypersurface of degree O(n^2)) is hit with negligible
-# probability on the small n this mode is meant for.
+# Rational mode draws the chart entries A_i from [-bound, bound].  System
+# entries have degree <= 2 in the A_i, so a nonzero r x r minor is a
+# polynomial of degree <= 2r and vanishes with probability at most
+# 2r / (2 bound + 1) (Schwartz-Zippel): negligible on the small n this mode
+# is meant for.
 _RATIONAL_ENTRY_BOUND = 5000
 
 
@@ -54,10 +54,10 @@ class VerdictClass(Enum):
 
 @dataclass(frozen=True)
 class GenericConfiguration:
-    """Sampled point of the product of Grassmannians, as coordinate matrices.
+    """Sampled point of the product of Grassmannians, as chart matrices.
 
-    subspaces[i] is n x d_i of full column rank, over F_prime (prime set) or
-    over Z viewed inside Q (prime None).
+    subspaces[i] is the n x d_i matrix [I_{d_i}; A_i], over F_prime (prime
+    set) or over Z viewed inside Q (prime None).
     """
 
     ambient: int
@@ -67,8 +67,10 @@ class GenericConfiguration:
 
     def __post_init__(self) -> None:
         for u in self.subspaces:
-            if u.shape[0] != self.ambient:
+            if u.ndim != 2 or u.shape[0] != self.ambient:
                 raise ValueError(f"subspace matrix shape {u.shape} does not match n={self.ambient}")
+            if not np.array_equal(u[: u.shape[1]], np.eye(u.shape[1], dtype=np.int64)):
+                raise ValueError("subspace matrix is not in chart form [I; A]")
 
 
 @dataclass(frozen=True)
@@ -90,75 +92,47 @@ class OracleReport:
         return self.verdict_class is VerdictClass.CERTIFIED_DENSE
 
 
-def _full_rank_mod(u: np.ndarray, d: int, p: int) -> bool:
-    return mod_rank(u, p) == d
-
-
 def sample_configuration(
     d: DimensionVector,
     prime: Optional[int] = None,
     seed: int | np.random.SeedSequence = 0,
 ) -> GenericConfiguration:
-    """Draw random full-column-rank coordinate matrices, deterministically in
+    """Draw a random chart point [I; A_i] per subspace, deterministically in
     (d, prime, seed).  prime=None selects rational (integer-entry) mode."""
     if isinstance(seed, np.random.SeedSequence):
         ss, seed_tag = seed, int(seed.entropy[0]) if isinstance(seed.entropy, (list, tuple)) else 0
     else:
         ss, seed_tag = np.random.SeedSequence([int(seed), prime or 0]), int(seed)
     rng = np.random.default_rng(ss)
+    if prime is None:
+        lo, hi = -_RATIONAL_ENTRY_BOUND, _RATIONAL_ENTRY_BOUND + 1
+    else:
+        lo, hi = 0, prime
     n = d.ambient
-    mats = []
-    for di in d.dims:
-        for attempt in range(_REDRAW_CAP):
-            if prime is None:
-                u = rng.integers(-_RATIONAL_ENTRY_BOUND, _RATIONAL_ENTRY_BOUND + 1, size=(n, di))
-                ok = bareiss_rank(u) == di
-            else:
-                u = rng.integers(0, prime, size=(n, di), dtype=np.int64)
-                ok = _full_rank_mod(u, di, prime)
-            if ok:
-                mats.append(u)
-                break
-        else:
-            raise RuntimeError(f"could not draw a full-rank {n}x{di} matrix in {_REDRAW_CAP} tries")
-    return GenericConfiguration(n, tuple(mats), prime, seed_tag)
+    mats = tuple(
+        np.vstack([np.eye(di, dtype=np.int64),
+                   rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)])
+        for di in d.dims
+    )
+    return GenericConfiguration(n, mats, prime, seed_tag)
 
 
-def _nullity_mod(c: GenericConfiguration) -> int:
-    n, p = c.ambient, c.prime
-    reduced = np.zeros((0, n * n), dtype=np.int64)
-    # One kron block per subspace, eliminated incrementally so the working
-    # matrix never exceeds (n^2 + block) rows by n^2 columns.
+def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
+    """Stack kron(Q_i, U_i^T) with Q_i = [-A_i | I]: the conditions
+    Q_i g U_i = 0 on the row-major entries of g."""
+    blocks = [np.zeros((0, c.ambient ** 2), dtype=np.int64)]
     for u in c.subspaces:
-        di = u.shape[1]
-        q = mod_nullspace(u.T % p, p).T  # (n - d_i) x n, rows annihilate u
-        assert q.shape == (n - di, n)
-        block = np.kron(q, (u.T % p)) % p
-        reduced = mod_row_reduce(np.vstack([reduced, block]), p)
-    return n * n - reduced.shape[0]
-
-
-def _nullity_rational(c: GenericConfiguration) -> int:
-    n = c.ambient
-    blocks = []
-    for u in c.subspaces:
-        di = u.shape[1]
-        basis = rational_nullspace(np.asarray(u).T)  # columns of length n
-        assert len(basis) == n - di
-        q_rows = []
-        for v in basis:
-            mult = lcm(*(x.denominator for x in v)) if v else 1
-            q_rows.append([int(x * mult) for x in v])
-        q = np.array(q_rows, dtype=object).reshape(n - di, n)
-        blocks.append(np.kron(q, np.asarray(u, dtype=object).T))
-    m = np.vstack(blocks)
-    assert m.shape == (sum(u.shape[1] * (n - u.shape[1]) for u in c.subspaces), n * n)
-    return n * n - bareiss_rank(m)
+        a = u[u.shape[1] :]
+        q = np.hstack([-a, np.eye(a.shape[0], dtype=np.int64)])
+        blocks.append(np.kron(q, u.T))
+    return np.vstack(blocks)
 
 
 def stabilizer_nullity(c: GenericConfiguration) -> int:
     """Nullity of the stabilizer system on gl(n); always >= 1 (scalars)."""
-    nullity = _nullity_mod(c) if c.prime is not None else _nullity_rational(c)
+    m = _stabilizer_system(c)
+    rank = bareiss_rank(m) if c.prime is None else mod_rank(m, c.prime)
+    nullity = c.ambient ** 2 - rank
     assert nullity >= 1, "scalar matrices must lie in the stabilizer"
     return nullity
 

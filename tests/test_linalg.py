@@ -1,13 +1,8 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdense.linalg import (
-    bareiss_rank, is_probable_prime, mod_nullspace, mod_rank, mod_row_reduce,
-    random_prime, rational_nullspace,
-)
+from grassdense.linalg import bareiss_rank, is_probable_prime, mod_rank, random_prime
 
 P = 2_147_483_629  # largest prime below 2^31
 
@@ -38,24 +33,6 @@ class TestModular:
         assert mod_rank(a, P) == 2
         assert bareiss_rank(a) == 2
 
-    def test_row_reduce_shape_and_rank(self):
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, P, size=(6, 4))
-        r = mod_row_reduce(a % P, P)
-        assert r.shape[1] == 4
-        assert mod_rank(r, P) == mod_rank(a, P)
-
-    def test_nullspace_annihilates(self):
-        rng = np.random.default_rng(7)
-        a = rng.integers(0, P, size=(3, 7))
-        ns = mod_nullspace(a, P)
-        assert ns.shape == (7, 4)
-        assert not ((a @ ns) % P).any()
-        assert mod_rank(ns.T, P) == 4
-
-    def test_nullspace_full_rank_empty(self):
-        assert mod_nullspace(np.eye(3, dtype=np.int64), P).shape == (3, 0)
-
     @given(st.integers(0, 2**32))
     @settings(max_examples=30)
     def test_rank_agrees_with_numpy_small(self, seed):
@@ -70,14 +47,3 @@ class TestRational:
         rng = np.random.default_rng(11)
         a = rng.integers(-50, 51, size=(6, 8))
         assert bareiss_rank(a) == mod_rank(a % P, P)
-
-    def test_rational_nullspace_annihilates(self):
-        a = np.array([[2, 4, 0], [1, 2, 0]], dtype=np.int64)
-        basis = rational_nullspace(a)
-        assert len(basis) == 2
-        for vec in basis:
-            for row in a:
-                assert sum(Fraction(int(x)) * y for x, y in zip(row, vec)) == 0
-
-    def test_rational_nullspace_trivial(self):
-        assert rational_nullspace(np.eye(2, dtype=np.int64)) == []

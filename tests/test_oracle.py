@@ -24,6 +24,7 @@ class TestSampling:
         assert [u.shape for u in c.subspaces] == [(5, 1), (5, 2), (5, 2)]
         for u in c.subspaces:
             assert mod_rank(u.T, P) == u.shape[1]
+            assert (u[: u.shape[1]] == np.eye(u.shape[1], dtype=np.int64)).all()
 
     def test_deterministic(self):
         a = sample_configuration(parse("2,3;6"), prime=P, seed=42)
@@ -50,6 +51,20 @@ class TestStabilizerNullity:
     def test_at_least_one(self):
         c = sample_configuration(parse("3,3,3,3;7"), prime=P, seed=0)
         assert stabilizer_nullity(c) >= 1
+
+    @pytest.mark.parametrize("prime", [P, None])
+    @pytest.mark.parametrize("n, charts, nullity", [
+        (2, [[[0]], [[0]], [[0]]], 3),          # three equal points: Borel of gl(2)
+        (2, [[[0]], [[1]], [[2]]], 1),          # three distinct points: scalars
+        (4, [np.zeros((2, 2)), np.eye(2)], 8),  # complementary planes: gl(2) x gl(2)
+        (4, [np.zeros((2, 2))] * 2, 12),        # equal planes: a parabolic
+    ])
+    def test_known_answers(self, prime, n, charts, nullity):
+        subspaces = tuple(
+            np.vstack([np.eye(n - len(a), dtype=np.int64), np.asarray(a, dtype=np.int64)])
+            for a in charts)
+        c = GenericConfiguration(n, subspaces, prime, 0)
+        assert stabilizer_nullity(c) == nullity
 
 
 class TestOracleDecide:
@@ -125,3 +140,5 @@ class TestGenericConfiguration:
     def test_validates_shapes(self):
         with pytest.raises(ValueError):
             GenericConfiguration(4, (np.zeros((3, 1), dtype=np.int64),), P, 0)
+        with pytest.raises(ValueError):
+            GenericConfiguration(4, (np.zeros((4, 2), dtype=np.int64),), P, 0)
