@@ -181,8 +181,9 @@ def _parse_vector(text: str, parser: _Parser) -> DimensionVector:
 
 def cmd_decide(args, parser: _Parser) -> int:
     d = _parse_vector(args.vector, parser)
+    # the version keeps verdicts cached under one rule set from the next
     key = {"canonical": str(d.canonical()), "oracle": args.oracle, "seed": args.seed,
-           "samples": args.samples, "budget": args.budget}
+           "samples": args.samples, "budget": args.budget, "version": __version__}
     cache = _cache_path()
     record = None
     if not args.no_cache:

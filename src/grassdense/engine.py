@@ -47,27 +47,24 @@ def _ts_step(d: DimensionVector) -> RewriteStep:
     return RewriteStep(TRIVIALLY_SPARSE, BASE_SPARSE, (("expected", d.expected_stab_dim),), d, ())
 
 
-# base rules in search order; reduction rule order favors ambient decrease
-_BASE_ORDER = (rules.SUM_DENSE, rules.POINTS_BASE, rules.LENGTH4,
-               rules.SIZE_TABLE, rules.BALANCED, rules.SUBSEQ_2N)
-_REDUCTION_ORDER = (rules.EXCESS_L1, rules.L3, rules.L8, rules.L9,
-                    rules.L6, rules.L7, rules.L10)
+# the domination seed store covers ambients and lengths up to these
+DOMINATION_AMBIENT_CAP = 12
+DOMINATION_LEN_CAP = 6
 
 
 class Engine:
-    def __init__(self, budget: int = 50_000, subset_cap: int = rules.SUBSET_ENUM_CAP,
-                 use_size_table: bool = True, use_balanced: bool = True,
-                 use_domination: bool = True, domination_ambient_cap: int = 12,
-                 domination_len_cap: int = 6):
+    """Rule search with a memo of settled verdicts.  Options: budget (search
+    nodes per decide call, overridable per call); use_size_table and
+    use_balanced (try those base rules); use_domination (try domination by
+    the seed store of short sparse vectors before the reduction rules)."""
+
+    def __init__(self, budget: int = 50_000, use_size_table: bool = True,
+                 use_balanced: bool = True, use_domination: bool = True):
         self.budget = budget
-        self.subset_cap = subset_cap
         self.use_size_table = use_size_table
         self.use_balanced = use_balanced
         self.use_domination = use_domination
-        self.domination_ambient_cap = domination_ambient_cap
-        self.domination_len_cap = domination_len_cap
         self.memo: dict[DimensionVector, Verdict] = {}
-        self.sparse_seen: dict[int, set[DimensionVector]] = {}
         self._seed_cache: dict[int, tuple[DimensionVector, ...]] = {}
         self.last_nodes = 0
         self.last_budget_exhausted = False
@@ -81,33 +78,28 @@ class Engine:
         if n in self._seed_cache:
             return self._seed_cache[n]
         seeds: list[DimensionVector] = []
-        if n <= self.domination_ambient_cap:
-            for length in range(2, self.domination_len_cap + 1):
+        if n <= DOMINATION_AMBIENT_CAP:
+            for length in range(2, DOMINATION_LEN_CAP + 1):
                 for dims in itertools.combinations_with_replacement(range(1, n), length):
                     v = DimensionVector(dims, n)
                     if v.is_trivially_sparse:
                         continue
-                    if self._base_verdict(v) is Status.SPARSE:
+                    step = self._base_step(v)
+                    if step is not None and step.direction == BASE_SPARSE:
                         seeds.append(v)
         out = tuple(seeds)
         self._seed_cache[n] = out
         return out
 
-    def _base_rule(self, rule_id: str, v: DimensionVector) -> Optional[RewriteStep]:
-        if rule_id == rules.SIZE_TABLE and not self.use_size_table:
-            return None
-        if rule_id == rules.BALANCED and not self.use_balanced:
-            return None
-        fn = rules.BASE_RULES[rule_id]
-        if rule_id == rules.SUBSEQ_2N:
-            return fn(v, cap=self.subset_cap)
-        return fn(v)
-
-    def _base_verdict(self, v: DimensionVector) -> Optional[Status]:
-        for rid in _BASE_ORDER:
-            step = self._base_rule(rid, v)
+    def _base_step(self, v: DimensionVector) -> Optional[RewriteStep]:
+        """The step of the first enabled base rule that settles v."""
+        for rid, fn in rules.BASE_RULES.items():
+            if (rid == rules.SIZE_TABLE and not self.use_size_table
+                    or rid == rules.BALANCED and not self.use_balanced):
+                continue
+            step = fn(v)
             if step is not None:
-                return Status.DENSE if step.direction == BASE_DENSE else Status.SPARSE
+                return step
         return None
 
     # -- search ----------------------------------------------------------
@@ -133,8 +125,6 @@ class Engine:
         verdict = Verdict(status, trivially_sparse=trivially_sparse,
                           certificate=Certificate(rep, status, steps))
         self.memo[rep] = verdict
-        if status is Status.SPARSE:
-            self.sparse_seen.setdefault(rep.ambient, set()).add(rep)
         return verdict
 
     def _decide_rec(self, d: DimensionVector, state: dict,
@@ -157,11 +147,10 @@ class Engine:
                 d, prefix, self._settle(rep, Status.SPARSE, (_ts_step(rep),),
                                         trivially_sparse=True))
 
-        for rid in _BASE_ORDER:
-            step = self._base_rule(rid, rep)
-            if step is not None:
-                status = Status.DENSE if step.direction == BASE_DENSE else Status.SPARSE
-                return self._with_prefix(d, prefix, self._settle(rep, status, (step,)))
+        step = self._base_step(rep)
+        if step is not None:
+            status = Status.DENSE if step.direction == BASE_DENSE else Status.SPARSE
+            return self._with_prefix(d, prefix, self._settle(rep, status, (step,)))
 
         in_progress.add(rep)
         try:
@@ -186,27 +175,17 @@ class Engine:
                     return self._settle(rep, Status.SPARSE,
                                         (step,) + child.certificate.steps)
 
-        for rid in _REDUCTION_ORDER:
-            fn = rules.REDUCTION_RULES[rid]
+        # an Iff step settles on either child verdict, a SparseIf step on Sparse
+        for fn in rules.REDUCTION_RULES.values():
             for side, side_prefix in sides:
-                if rid in (rules.L3, rules.L10):
-                    steps = fn(side, cap=self.subset_cap)
-                else:
-                    steps = fn(side)
-                for step in steps:
+                for step in fn(side):
                     if step.is_vacuous:
                         return self._settle(rep, Status.DENSE, side_prefix + (step,))
                     child = self._decide_rec(step.outputs[0], state, in_progress, unknown)
-                    if child.status is not Status.UNKNOWN:
+                    if child.status is Status.SPARSE or (
+                            child.status is Status.DENSE and step.direction == IFF):
                         return self._settle(rep, child.status,
                                             side_prefix + (step,) + child.certificate.steps)
-
-        for side, side_prefix in sides:
-            for step in rules.rule_merge_sparse(side, cap=self.subset_cap):
-                child = self._decide_rec(step.outputs[0], state, in_progress, unknown)
-                if child.status is Status.SPARSE:
-                    return self._settle(rep, Status.SPARSE,
-                                        side_prefix + (step,) + child.certificate.steps)
         return None
 
     # -- oracle fallback ---------------------------------------------------
@@ -243,7 +222,7 @@ def _leaf_kind(step: RewriteStep) -> Optional[str]:
     return None
 
 
-def _refire_matches(step: RewriteStep, subset_cap: int) -> bool:
+def _refire_matches(step: RewriteStep) -> bool:
     rid = step.rule_id
     if rid == TRIVIALLY_SPARSE:
         return step.input.is_trivially_sparse and step == _ts_step(step.input)
@@ -256,20 +235,13 @@ def _refire_matches(step: RewriteStep, subset_cap: int) -> bool:
         return (len(step.outputs) == 1 and step.direction == SPARSE_IF
                 and side.dominates(step.outputs[0]))
     if rid in rules.BASE_RULES:
-        fn = rules.BASE_RULES[rid]
-        made = fn(step.input, cap=subset_cap) if rid == rules.SUBSEQ_2N else fn(step.input)
-        return made == step
+        return rules.BASE_RULES[rid](step.input) == step
     if rid in rules.REDUCTION_RULES:
-        fn = rules.REDUCTION_RULES[rid]
-        if rid in (rules.L3, rules.L10, rules.L4_MERGE):
-            made = fn(step.input, cap=subset_cap)
-        else:
-            made = fn(step.input)
-        return step in made
+        return step in rules.REDUCTION_RULES[rid](step.input)
     return False
 
 
-def verify_certificate(cert: Certificate, subset_cap: int = rules.SUBSET_ENUM_CAP) -> bool:
+def verify_certificate(cert: Certificate) -> bool:
     """Re-check a certificate from scratch.  Raises MalformedCertificateError
     for structural damage; returns False when the structure is fine but some
     step does not re-fire or the polarity does not support the claimed status.
@@ -313,7 +285,7 @@ def verify_certificate(cert: Certificate, subset_cap: int = rules.SUBSET_ENUM_CA
     if (cert.status is Status.DENSE) != dense:
         return False
 
-    return all(_refire_matches(step, subset_cap) for step in cert.steps)
+    return all(_refire_matches(step) for step in cert.steps)
 
 
 # module-level convenience API on a shared engine

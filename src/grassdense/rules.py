@@ -9,8 +9,9 @@ relates it to smaller vectors:
     SparseIf  output sparse =>  input sparse
 
 The rule_id strings are the stable wire format used in certificate JSON; the
-short L* names are opaque labels for the reduction rules, in the order the
-engine tries them.
+short L* names are opaque labels for the reduction rules.  BASE_RULES and
+REDUCTION_RULES, at the end, are the rule registry: dict order is the
+engine's search order, and every registered rule is called as fn(v).
 
 A rewrite may produce a vector all of whose entries drop during
 normalization ("vacuous": the configuration degenerates to a point, which is
@@ -51,11 +52,6 @@ DENSE_IF = "DenseIf"
 SPARSE_IF = "SparseIf"
 BASE_DENSE = "BaseDense"
 BASE_SPARSE = "BaseSparse"
-
-RULE_IDS = frozenset({
-    SUM_DENSE, L3, L4_MERGE, SUBSEQ_2N, L6, L7, L8, L9, L10, LENGTH4,
-    POINTS_BASE, SIZE_TABLE, BALANCED, EXCESS_L1, DOMINATION, COMPLEMENT,
-})
 
 # Subset/partition enumeration is exhaustive up to this length; longer
 # vectors make the subset rules return nothing (the engine reports Unknown
@@ -173,7 +169,7 @@ def rule_points_base(d: DimensionVector) -> Optional[RewriteStep]:
     return None
 
 
-def rule_subseq_2n(d: DimensionVector, cap: int = SUBSET_ENUM_CAP) -> Optional[RewriteStep]:
+def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
     """A sub-multiset of at least 4 entries summing to exactly 2n (in d or
     its complement) forces sparsity: split it into four nonempty parts of
     size <= n-1, merge to a length-4 vector of total 2n, and dominate.
@@ -181,7 +177,7 @@ def rule_subseq_2n(d: DimensionVector, cap: int = SUBSET_ENUM_CAP) -> Optional[R
     Three-entry subsets are NOT sufficient ((2,3,3;4) sums to 2n yet is
     dense), hence the >= 4 guard.
     """
-    if d.length > cap:
+    if d.length > SUBSET_ENUM_CAP:
         return None
     target = 2 * d.ambient
     for side, v in (("self", d), ("complement", d.complement())):
@@ -347,12 +343,12 @@ def _dedup(steps: list[RewriteStep]) -> list[RewriteStep]:
     return kept
 
 
-def rule_restrict_to_span(d: DimensionVector, cap: int = SUBSET_ENUM_CAP) -> list[RewriteStep]:
+def rule_restrict_to_span(d: DimensionVector) -> list[RewriteStep]:
     """Restrict to the span of a subfamily.  Split the entries into A and B
     with sum(A) = n - k < n and sum(n - b for b in B) <= n - k; inside the
     span of the A-subspaces (generically of dimension n - k) the B-subspaces
     cut out subspaces of dimension b - k.  Density transfers both ways."""
-    if d.length > cap:
+    if d.length > SUBSET_ENUM_CAP:
         return []
     n = d.ambient
     steps = []
@@ -371,11 +367,11 @@ def rule_restrict_to_span(d: DimensionVector, cap: int = SUBSET_ENUM_CAP) -> lis
     return _dedup(steps)
 
 
-def rule_merge_sparse(d: DimensionVector, cap: int = SUBSET_ENUM_CAP) -> list[RewriteStep]:
+def rule_merge_sparse(d: DimensionVector) -> list[RewriteStep]:
     """Merge up to three disjoint groups of entries (each of size >= 2 and
     group sum <= n) into single subspaces spanning them.  If the merged
     vector is sparse, so is the original."""
-    if d.length > cap:
+    if d.length > SUBSET_ENUM_CAP:
         return []
     n = d.ambient
     steps = []
@@ -479,12 +475,12 @@ def rule_span_intersect(d: DimensionVector) -> list[RewriteStep]:
     return _dedup(steps)
 
 
-def rule_intersection_swap(d: DimensionVector, cap: int = SUBSET_ENUM_CAP) -> list[RewriteStep]:
+def rule_intersection_swap(d: DimensionVector) -> list[RewriteStep]:
     """Intersection swap: a sub-multiset S of k >= 3 entries with
     sum(S) = (k-1) n gets every selected entry a replaced by n - a, ambient
     unchanged.  Density transfers both ways.  (k = 2 would be the identity.)
     """
-    if d.length > cap:
+    if d.length > SUBSET_ENUM_CAP:
         return []
     n = d.ambient
     steps = []
@@ -514,16 +510,16 @@ def rule_complement(d: DimensionVector) -> RewriteStep:
     return _step(COMPLEMENT, IFF, d, (d.complement(),))
 
 
-# rule functions by id, for certificate re-verification
 BASE_RULES = {
     SUM_DENSE: rule_sum_dense,
-    LENGTH4: rule_length4,
     POINTS_BASE: rule_points_base,
-    SUBSEQ_2N: rule_subseq_2n,
+    LENGTH4: rule_length4,
     SIZE_TABLE: rule_size_table,
     BALANCED: rule_balanced,
+    SUBSEQ_2N: rule_subseq_2n,
 }
 
+# reductions that decrease the ambient dimension first, the SparseIf merge last
 REDUCTION_RULES = {
     EXCESS_L1: rule_excess,
     L3: rule_restrict_to_span,
@@ -534,3 +530,5 @@ REDUCTION_RULES = {
     L10: rule_intersection_swap,
     L4_MERGE: rule_merge_sparse,
 }
+
+RULE_IDS = frozenset(BASE_RULES) | frozenset(REDUCTION_RULES) | {DOMINATION, COMPLEMENT}

@@ -23,7 +23,8 @@ from grassdense.families import (
     classification_json, classify_size, enumerate_vectors, fibonacci_family,
     repeat_family,
 )
-from grassdense.oracle import VerdictClass, oracle_decide, random_prime
+from grassdense.linalg import random_prime
+from grassdense.oracle import VerdictClass, oracle_decide
 
 from certutils import mutants
 

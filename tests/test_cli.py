@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grassdense import __version__
 from grassdense.cli import (
     EXIT_DENSE, EXIT_SPARSE, EXIT_UNKNOWN, EXIT_USAGE, RULE_LABELS, main,
 )
@@ -99,7 +100,19 @@ class TestCache:
         assert len(lines) == 1
         key = json.loads(lines[0])["key"]
         assert key == {"canonical": "(1,2^2;5)", "oracle": "auto", "seed": 0,
-                       "samples": 3, "budget": 50000}
+                       "samples": 3, "budget": 50000, "version": __version__}
+
+    def test_unversioned_record_not_served(self, capsys, isolated_cache):
+        # a record written before the key carried a version, with a wrong verdict
+        planted = {"vector": {"dims": [1, 1, 2, 2], "n": 3}, "status": "Dense",
+                   "method": "engine", "trivially_sparse": False, "trace": [],
+                   "oracle": None, "version": __version__,
+                   "key": {"canonical": "(1^2,2^2;3)", "oracle": "auto", "seed": 0,
+                           "samples": 3, "budget": 50000}}
+        isolated_cache.write_text(json.dumps(planted) + "\n")
+        code, out, _ = run(capsys, "decide", "1,1,2,2;3")
+        assert code == EXIT_SPARSE
+        assert out.startswith("SPARSE") and "(cached)" not in out
 
     def test_different_knobs_miss(self, capsys, isolated_cache):
         run(capsys, "decide", "1,2,2;5")

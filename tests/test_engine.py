@@ -8,7 +8,7 @@ from grassdense.engine import (
     Certificate, Engine, MalformedCertificateError, decide, decide_with_oracle,
     verify_certificate,
 )
-from grassdense.oracle import oracle_decide
+from grassdense.oracle import VerdictClass, oracle_decide
 from grassdense import rules as R
 
 from certutils import mutants
@@ -72,10 +72,10 @@ class TestDecide:
         b = eng.decide(parse("1,1,2,2,3;6"))
         assert a.status == b.status and eng.last_nodes == 0 < nodes_first
 
-    def test_sparse_store_records(self):
-        eng = Engine()
-        eng.decide(parse("1,1,2,2;3"))
-        assert parse("1,1,2,2;3").canonical() in eng.sparse_seen[3]
+    def test_sparse_if_step_ignores_dense_child(self):
+        # every L4Merge output of this vector is Dense, which says nothing
+        # about the input; the oracle finds it sparse
+        assert decide(parse("(3,8,12^2,18;22)")).status is not Status.DENSE
 
     def test_budget_exhaustion(self):
         eng = Engine()
@@ -133,13 +133,27 @@ class TestEngineFlags:
             if v.status is not Status.UNKNOWN:
                 assert v.status.value == want
 
-    def test_subset_cap_respected(self):
-        eng = Engine(subset_cap=3)
-        d = parse("1,1,3,3,4;6")
-        v = eng.decide(d)
-        # still decidable (other rules), and any certificate must verify
-        if v.certificate is not None:
-            assert verify_certificate(v.certificate, subset_cap=3)
+
+# Vectors the oracle refutes but the Balanced base rule calls Dense:
+# (vector, stabilizer dimension found, expected stabilizer dimension).
+BALANCED_REFUTED = [
+    ("(3,5^5;22)", 3, 1),
+    ("(3^6,5;19)", 5, 2),
+    ("(3^6,5^2;24)", 10, 7),
+]
+
+
+class TestBalancedTripwire:
+    @pytest.mark.parametrize("text,stab,expected", BALANCED_REFUTED)
+    def test_oracle_refutes(self, text, stab, expected):
+        r = oracle_decide(parse(text), samples=2, seed=5)
+        assert r.verdict_class is VerdictClass.MONTE_CARLO_SPARSE
+        assert (r.stab_dim, r.expected) == (stab, expected)
+
+    @pytest.mark.xfail(strict=True, reason="the Balanced rule is unsound (ROADMAP item 1)")
+    @pytest.mark.parametrize("text", [text for text, _, _ in BALANCED_REFUTED])
+    def test_decide_sparse(self, text):
+        assert decide(parse(text)).status is Status.SPARSE
 
 
 class TestVerifyCertificate:

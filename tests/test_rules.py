@@ -88,7 +88,7 @@ class TestSubseqTwoN:
 
     def test_cap(self):
         d = DimensionVector((1,) * 13 + (2, 2), 30)
-        assert R.rule_subseq_2n(d, cap=12) is None
+        assert R.rule_subseq_2n(d) is None
 
     @given(vectors())
     @settings(max_examples=60, deadline=None)
@@ -227,7 +227,7 @@ class TestRestrictSpan:  # L3
         assert got == {((1, 2), "(1,2;3)"), ((1, 1), "(1^2;2)")}
 
     def test_cap(self):
-        assert R.rule_restrict_to_span(DimensionVector((1,) * 13, 20), cap=12) == []
+        assert R.rule_restrict_to_span(DimensionVector((1,) * 13, 20)) == []
 
 
 class TestPairCollapse:  # L6
