@@ -36,7 +36,6 @@ EXIT_USAGE = 3
 RULE_LABELS = {
     rules.SUM_DENSE: "small total sum",
     rules.L3: "restrict to span",
-    rules.L4_MERGE: "merge groups",
     rules.SUBSEQ_2N: "2n subsequence",
     rules.L6: "pair collapse",
     rules.L7: "largest block",
@@ -117,15 +116,16 @@ def _reason(verdict: Verdict) -> str:
     return "undecided within budget"
 
 
-def _print_trace(cert: Optional[Certificate], out) -> None:
-    if cert is None:
-        return
-    for depth, s in enumerate(cert.steps):
-        label = RULE_LABELS.get(s.rule_id, s.rule_id)
-        params = ", ".join(f"{k}={v}" for k, v in s.params)
-        arrow = " -> " + ", ".join(str(o) for o in s.outputs) if s.outputs else ""
+def _print_trace(trace: list, out) -> None:
+    """Print the steps of a record's trace, fresh or read back from the cache
+    (where tuple params came back as lists)."""
+    for depth, s in enumerate(trace):
+        label = RULE_LABELS.get(s["rule"], s["rule"])
+        params = ", ".join(f"{k}={tuple(v) if isinstance(v, list) else v}"
+                           for k, v in s["params"].items())
+        arrow = " -> " + ", ".join(s["to"]) if s["to"] else ""
         pad = "  " * depth
-        out.write(f"{pad}{str(s.input)}  [{label}/{s.direction}"
+        out.write(f"{pad}{s['from']}  [{label}/{s['direction']}"
                   f"{': ' + params if params else ''}]{arrow}\n")
 
 
@@ -217,17 +217,10 @@ def cmd_decide(args, parser: _Parser) -> int:
     if args.json:
         print(json.dumps(record, sort_keys=True))
     else:
-        status = record["status"]
-        if verdict is not None:
-            print(f"{status.upper()} ({_reason(verdict)})")
-            if args.trace:
-                _print_trace(verdict.certificate, sys.stdout)
-        else:
-            print(f"{status.upper()} (cached)")
-            if args.trace:
-                for line in record["trace"]:
-                    print(f"  {line['from']} [{RULE_LABELS.get(line['rule'], line['rule'])}"
-                          f"/{line['direction']}] -> {', '.join(line['to']) or '-'}")
+        reason = "cached" if verdict is None else _reason(verdict)
+        print(f"{record['status'].upper()} ({reason})")
+        if args.trace:
+            _print_trace(record["trace"], sys.stdout)
     return {"Dense": EXIT_DENSE, "Sparse": EXIT_SPARSE}.get(record["status"], EXIT_UNKNOWN)
 
 

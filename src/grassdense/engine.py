@@ -1,16 +1,17 @@
 """Decision engine: decide density by searching the rewrite rules.
 
 The engine runs a depth-first search over canonical forms (lex-smaller of a
-vector and its complement).  Base rules settle a vector outright; Iff
-reductions recurse into a smaller vector; SparseIf edges (merges, domination)
-can only propagate sparseness upward.  Dense / Sparse verdicts are memoized
-for the lifetime of the engine; Unknown is transient (a later call with a
-bigger budget may do better).
+vector and its complement).  Base rules, the dimension count first, settle a
+vector outright; Iff reductions recurse into a smaller vector; the one
+SparseIf edge, domination of a known sparse vector, can only propagate
+sparseness upward.  Dense / Sparse verdicts are memoized for the lifetime of
+the engine; Unknown is transient (a later call with a bigger budget may do
+better).
 
 Every settled verdict carries a Certificate: a chain of rewrite steps from
-the queried vector down to a leaf (a base-rule hit, a trivially-sparse
-dimension count, or a vacuous rewrite).  verify_certificate re-fires every
-step independently of the engine, so certificates are checkable artifacts.
+the queried vector down to a leaf (a base-rule hit or a vacuous rewrite).
+verify_certificate re-fires every step independently of the engine, so
+certificates are checkable artifacts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import DimensionVector, Status, Verdict
 from .oracle import oracle_decide
 from . import rules
 from .rules import (
-    RewriteStep, BASE_DENSE, BASE_SPARSE, IFF, DENSE_IF, SPARSE_IF,
+    RewriteStep, BASE_DENSE, BASE_SPARSE, IFF, SPARSE_IF,
     COMPLEMENT, DOMINATION, TRIVIALLY_SPARSE, RULE_IDS,
 )
 
@@ -36,15 +37,11 @@ class MalformedCertificateError(ValueError):
 class Certificate:
     """A chain of rewrite steps proving a density verdict.  steps[0].input is
     the root; each later step's input is the previous step's single output;
-    the final step is a leaf (base verdict, trivially-sparse, or vacuous)."""
+    the final step is a leaf (base verdict or vacuous)."""
 
     root: DimensionVector
     status: Status
     steps: tuple[RewriteStep, ...]
-
-
-def _ts_step(d: DimensionVector) -> RewriteStep:
-    return RewriteStep(TRIVIALLY_SPARSE, BASE_SPARSE, (("expected", d.expected_stab_dim),), d, ())
 
 
 # the domination seed store covers ambients and lengths up to these
@@ -54,16 +51,13 @@ DOMINATION_LEN_CAP = 6
 
 class Engine:
     """Rule search with a memo of settled verdicts.  Options: budget (search
-    nodes per decide call, overridable per call); use_size_table and
-    use_balanced (try those base rules); use_domination (try domination by
-    the seed store of short sparse vectors before the reduction rules)."""
+    nodes per decide call, overridable per call) and use_size_table (try the
+    SizeTable base rule; families turns it off so the table never certifies
+    itself)."""
 
-    def __init__(self, budget: int = 50_000, use_size_table: bool = True,
-                 use_balanced: bool = True, use_domination: bool = True):
+    def __init__(self, budget: int = 50_000, use_size_table: bool = True):
         self.budget = budget
         self.use_size_table = use_size_table
-        self.use_balanced = use_balanced
-        self.use_domination = use_domination
         self.memo: dict[DimensionVector, Verdict] = {}
         self._seed_cache: dict[int, tuple[DimensionVector, ...]] = {}
         self.last_nodes = 0
@@ -73,7 +67,7 @@ class Engine:
 
     def _domination_seeds(self, n: int) -> tuple[DimensionVector, ...]:
         """Short vectors in ambient n that the base rules alone prove sparse
-        (and that are not trivially sparse, which domination subsumes).
+        (other than by the dimension count, which domination subsumes).
         Static per ambient, so batch decide order cannot change verdicts."""
         if n in self._seed_cache:
             return self._seed_cache[n]
@@ -82,10 +76,9 @@ class Engine:
             for length in range(2, DOMINATION_LEN_CAP + 1):
                 for dims in itertools.combinations_with_replacement(range(1, n), length):
                     v = DimensionVector(dims, n)
-                    if v.is_trivially_sparse:
-                        continue
                     step = self._base_step(v)
-                    if step is not None and step.direction == BASE_SPARSE:
+                    if (step is not None and step.direction == BASE_SPARSE
+                            and step.rule_id != TRIVIALLY_SPARSE):
                         seeds.append(v)
         out = tuple(seeds)
         self._seed_cache[n] = out
@@ -94,8 +87,7 @@ class Engine:
     def _base_step(self, v: DimensionVector) -> Optional[RewriteStep]:
         """The step of the first enabled base rule that settles v."""
         for rid, fn in rules.BASE_RULES.items():
-            if (rid == rules.SIZE_TABLE and not self.use_size_table
-                    or rid == rules.BALANCED and not self.use_balanced):
+            if rid == rules.SIZE_TABLE and not self.use_size_table:
                 continue
             step = fn(v)
             if step is not None:
@@ -142,15 +134,11 @@ class Engine:
             return Verdict(Status.UNKNOWN)
         state["nodes"] += 1
 
-        if rep.is_trivially_sparse:
-            return self._with_prefix(
-                d, prefix, self._settle(rep, Status.SPARSE, (_ts_step(rep),),
-                                        trivially_sparse=True))
-
         step = self._base_step(rep)
         if step is not None:
             status = Status.DENSE if step.direction == BASE_DENSE else Status.SPARSE
-            return self._with_prefix(d, prefix, self._settle(rep, status, (step,)))
+            return self._with_prefix(d, prefix, self._settle(
+                rep, status, (step,), trivially_sparse=step.rule_id == TRIVIALLY_SPARSE))
 
         in_progress.add(rep)
         try:
@@ -167,23 +155,21 @@ class Engine:
         comp = rep.complement()
         sides = ((rep, ()), (comp, (rules.rule_complement(rep),)))
 
-        if self.use_domination:
-            step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
-            if step is not None and step.params_dict().get("strict"):
-                child = self._decide_rec(step.outputs[0], state, in_progress, unknown)
-                if child.status is Status.SPARSE:
-                    return self._settle(rep, Status.SPARSE,
-                                        (step,) + child.certificate.steps)
+        step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
+        if step is not None and step.params_dict().get("strict"):
+            child = self._decide_rec(step.outputs[0], state, in_progress, unknown)
+            if child.status is Status.SPARSE:
+                return self._settle(rep, Status.SPARSE,
+                                    (step,) + child.certificate.steps)
 
-        # an Iff step settles on either child verdict, a SparseIf step on Sparse
+        # every reduction is Iff, so any decided child settles rep
         for fn in rules.REDUCTION_RULES.values():
             for side, side_prefix in sides:
                 for step in fn(side):
                     if step.is_vacuous:
                         return self._settle(rep, Status.DENSE, side_prefix + (step,))
                     child = self._decide_rec(step.outputs[0], state, in_progress, unknown)
-                    if child.status is Status.SPARSE or (
-                            child.status is Status.DENSE and step.direction == IFF):
+                    if child.status is not Status.UNKNOWN:
                         return self._settle(rep, child.status,
                                             side_prefix + (step,) + child.certificate.steps)
         return None
@@ -211,8 +197,6 @@ _LEAF_SPARSE = "sparse"
 def _leaf_kind(step: RewriteStep) -> Optional[str]:
     if step.outputs:
         return None
-    if step.rule_id == TRIVIALLY_SPARSE:
-        return _LEAF_SPARSE if step.direction == BASE_SPARSE else None
     if step.direction == BASE_DENSE:
         return _LEAF_DENSE
     if step.direction == BASE_SPARSE:
@@ -224,8 +208,6 @@ def _leaf_kind(step: RewriteStep) -> Optional[str]:
 
 def _refire_matches(step: RewriteStep) -> bool:
     rid = step.rule_id
-    if rid == TRIVIALLY_SPARSE:
-        return step.input.is_trivially_sparse and step == _ts_step(step.input)
     if rid == COMPLEMENT:
         return (step.direction == IFF and not step.params
                 and step.outputs == (step.input.complement(),))
@@ -257,30 +239,24 @@ def verify_certificate(cert: Certificate) -> bool:
     for step in cert.steps:
         if not isinstance(step, RewriteStep):
             raise MalformedCertificateError("non-step in chain")
-        if step.rule_id not in RULE_IDS and step.rule_id != TRIVIALLY_SPARSE:
+        if step.rule_id not in RULE_IDS:
             raise MalformedCertificateError(f"unknown rule_id {step.rule_id!r}")
-        if step.direction not in (IFF, DENSE_IF, SPARSE_IF, BASE_DENSE, BASE_SPARSE):
+        if step.direction not in (IFF, SPARSE_IF, BASE_DENSE, BASE_SPARSE):
             raise MalformedCertificateError(f"unknown direction {step.direction!r}")
     if cert.steps[0].input != cert.root:
         raise MalformedCertificateError("chain does not start at root")
     for prev, nxt in zip(cert.steps, cert.steps[1:]):
         if len(prev.outputs) != 1 or prev.outputs[0] != nxt.input:
             raise MalformedCertificateError("broken chain link")
-        if prev.direction not in (IFF, DENSE_IF, SPARSE_IF):
+        if prev.direction not in (IFF, SPARSE_IF):
             raise MalformedCertificateError("interior step is not an edge")
     leaf = _leaf_kind(cert.steps[-1])
     if leaf is None:
         raise MalformedCertificateError("chain does not end in a leaf")
 
-    # polarity: propagate the leaf verdict back to the root
+    # polarity: Iff edges carry either verdict to the root, SparseIf only Sparse
     dense = leaf == _LEAF_DENSE
-    for step in reversed(cert.steps[:-1]):
-        if step.direction == IFF:
-            continue
-        if step.direction == DENSE_IF and dense:
-            continue
-        if step.direction == SPARSE_IF and not dense:
-            continue
+    if dense and any(step.direction == SPARSE_IF for step in cert.steps[:-1]):
         return False
     if (cert.status is Status.DENSE) != dense:
         return False

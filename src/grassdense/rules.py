@@ -4,9 +4,8 @@ Each rule is a pure function from a DimensionVector to rewrite steps.  A step
 either settles the vector outright (direction BaseDense / BaseSparse) or
 relates it to smaller vectors:
 
-    Iff       input dense  <=>  output dense
-    DenseIf   output dense  =>  input dense
-    SparseIf  output sparse =>  input sparse
+    Iff       input dense  <=>  output dense   (every reduction rule)
+    SparseIf  output sparse =>  input sparse   (Domination only)
 
 The rule_id strings are the stable wire format used in certificate JSON; the
 short L* names are opaque labels for the reduction rules.  BASE_RULES and
@@ -30,7 +29,6 @@ from .core import DimensionVector, VacuousVectorError, normalize, parse
 # rule_id wire strings
 SUM_DENSE = "SumDense"
 L3 = "L3"
-L4_MERGE = "L4Merge"
 SUBSEQ_2N = "SubseqTwoN"
 L6 = "L6"
 L7 = "L7"
@@ -44,11 +42,10 @@ BALANCED = "Balanced"
 EXCESS_L1 = "ExcessL1"
 DOMINATION = "Domination"
 COMPLEMENT = "Complement"
-TRIVIALLY_SPARSE = "TriviallySparse"  # leaf marker used by the engine
+TRIVIALLY_SPARSE = "TriviallySparse"
 
 # directions
 IFF = "Iff"
-DENSE_IF = "DenseIf"
 SPARSE_IF = "SparseIf"
 BASE_DENSE = "BaseDense"
 BASE_SPARSE = "BaseSparse"
@@ -77,10 +74,6 @@ class RewriteStep:
     def is_vacuous(self) -> bool:
         return not self.outputs and bool(self.params_dict().get("vacuous"))
 
-    @property
-    def is_base(self) -> bool:
-        return self.direction in (BASE_DENSE, BASE_SPARSE)
-
 
 def _step(rule_id: str, direction: str, d: DimensionVector,
           outputs: tuple[DimensionVector, ...], **params) -> RewriteStep:
@@ -96,8 +89,8 @@ def _try_normalize(entries, ambient) -> Optional[DimensionVector]:
 
 
 def _submultisets(dims: tuple[int, ...], min_size: int = 1) -> Iterator[tuple[int, ...]]:
-    """All distinct nonempty sub-multisets as sorted tuples, smallest first
-    in (size, entries) order is NOT guaranteed; order is deterministic."""
+    """All distinct sub-multisets with at least min_size entries, as sorted
+    tuples, in a deterministic order (not sorted by size)."""
     items = sorted(Counter(dims).items())
 
     def rec(i: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
@@ -132,6 +125,15 @@ def _distinct_pairs(dims: tuple[int, ...]) -> Iterator[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # base rules (settle the vector outright)
 # ---------------------------------------------------------------------------
+
+def rule_trivially_sparse(d: DimensionVector) -> Optional[RewriteStep]:
+    """The dimension count: a product of Grassmannians of dimension greater
+    than dim PGL(n) (expected stabilizer dimension < 0) has no dense orbit."""
+    expected = d.expected_stab_dim
+    if expected >= 0:
+        return None
+    return _step(TRIVIALLY_SPARSE, BASE_SPARSE, d, (), expected=expected)
+
 
 def rule_sum_dense(d: DimensionVector) -> Optional[RewriteStep]:
     """Total dimension at most n+1 (on either side) forces density: the
@@ -367,33 +369,6 @@ def rule_restrict_to_span(d: DimensionVector) -> list[RewriteStep]:
     return _dedup(steps)
 
 
-def rule_merge_sparse(d: DimensionVector) -> list[RewriteStep]:
-    """Merge up to three disjoint groups of entries (each of size >= 2 and
-    group sum <= n) into single subspaces spanning them.  If the merged
-    vector is sparse, so is the original."""
-    if d.length > SUBSET_ENUM_CAP:
-        return []
-    n = d.ambient
-    steps = []
-
-    def groups_from(dims: tuple[int, ...], lower: tuple[int, ...], chosen: list[tuple[int, ...]]):
-        if chosen:
-            rest = dims
-            entries = list(rest) + [sum(g) for g in chosen]
-            out = _try_normalize(entries, n)
-            if out is not None and out != d:
-                steps.append(_step(L4_MERGE, SPARSE_IF, d, (out,), groups=tuple(chosen)))
-        if len(chosen) == 3:
-            return
-        for g in _submultisets(dims, min_size=2):
-            if sum(g) > n or g < lower:
-                continue
-            groups_from(_remove(dims, g), g, chosen + [g])
-
-    groups_from(d.dims, (), [])
-    return _dedup(steps)
-
-
 def rule_pair_collapse(d: DimensionVector) -> list[RewriteStep]:
     """Collapse a repeated pair: two copies of b with b <= n/2 and
     b + sum(rest) = n project to a configuration in dimension n - b with a
@@ -511,6 +486,7 @@ def rule_complement(d: DimensionVector) -> RewriteStep:
 
 
 BASE_RULES = {
+    TRIVIALLY_SPARSE: rule_trivially_sparse,
     SUM_DENSE: rule_sum_dense,
     POINTS_BASE: rule_points_base,
     LENGTH4: rule_length4,
@@ -519,7 +495,7 @@ BASE_RULES = {
     SUBSEQ_2N: rule_subseq_2n,
 }
 
-# reductions that decrease the ambient dimension first, the SparseIf merge last
+# all Iff; reductions that decrease the ambient dimension first
 REDUCTION_RULES = {
     EXCESS_L1: rule_excess,
     L3: rule_restrict_to_span,
@@ -528,7 +504,6 @@ REDUCTION_RULES = {
     L6: rule_pair_collapse,
     L7: rule_largest_block,
     L10: rule_intersection_swap,
-    L4_MERGE: rule_merge_sparse,
 }
 
 RULE_IDS = frozenset(BASE_RULES) | frozenset(REDUCTION_RULES) | {DOMINATION, COMPLEMENT}

@@ -215,7 +215,7 @@ def test_criterion_05_hand_worked_reduction_chains():
     path_hits = reduction_hits = 0
     # the closed-form tables usually preempt these roots; also count path
     # matches with the shortcuts off so the reduction routes stay exercised
-    bare = Engine(use_size_table=False, use_balanced=False, use_domination=False)
+    bare = Engine(use_size_table=False)
     for chain_text, want in CHAINS:
         chain = [parse(s) for s in chain_text]
         verdict = decide(chain[0])

@@ -139,6 +139,16 @@ class TestCache:
         assert "(cached)" in out
         assert any(label in out for label in RULE_LABELS.values())
 
+    def test_cached_trace_matches_fresh(self, capsys):
+        # a two-step chain whose steps carry tuple params, which the cache
+        # stores as JSON lists
+        _, fresh, _ = run(capsys, "decide", "1,2,2,4,4;5", "--trace")
+        _, cached, _ = run(capsys, "decide", "1,2,2,4,4;5", "--trace")
+        assert "(cached)" in cached and "(cached)" not in fresh
+        steps = fresh.splitlines()[1:]
+        assert len(steps) == 3 and "subset=(3, 3, 4)" in fresh
+        assert cached.splitlines()[1:] == steps
+
 
 class TestOtherCommands:
     def test_verify_small_sweep(self, capsys):

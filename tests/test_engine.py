@@ -73,8 +73,9 @@ class TestDecide:
         assert a.status == b.status and eng.last_nodes == 0 < nodes_first
 
     def test_sparse_if_step_ignores_dense_child(self):
-        # every L4Merge output of this vector is Dense, which says nothing
-        # about the input; the oracle finds it sparse
+        # the oracle finds this vector sparse; merging groups of its entries
+        # (a SparseIf rewrite) gives only Dense vectors, so a loop that let
+        # such a step settle on a Dense child would call it Dense
         assert decide(parse("(3,8,12^2,18;22)")).status is not Status.DENSE
 
     def test_budget_exhaustion(self):
@@ -201,7 +202,7 @@ class TestVerifyCertificate:
 
     def test_cross_engine_verification(self):
         # certificates verify without access to the engine that made them
-        cert = Engine(use_domination=False).decide(parse("1,1,1,2,3,5;8")).certificate
+        cert = Engine(use_size_table=False).decide(parse("1,1,1,2,3,5;8")).certificate
         assert verify_certificate(cert)
 
 
