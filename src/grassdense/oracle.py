@@ -5,24 +5,48 @@ stabilizer in PGL(n) has dimension exactly
 
     expected = n^2 - 1 - sum d_i (n - d_i).
 
-Each subspace is sampled in the affine chart of Gr(d_i, n) spanned by the
-columns of U_i = [I_{d_i}; A_i], with A_i a random (n - d_i) x d_i matrix.
-Q_i = [-A_i | I_{n - d_i}] satisfies Q_i U_i = 0 and has full row rank, so it
-is a left annihilator of U_i with no nullspace computation and no redraws.
-The stabilizer Lie algebra is cut out of gl(n) by g U_i <= U_i, i.e.
-Q_i g U_i = 0: d_i (n - d_i) linear equations per subspace on the n^2
-entries of g, stacked into one system and reduced by one rank computation,
-over F_p (modular mode) or over Q (rational mode, prime None).
+Slice.  Two subspaces in general position form one GL(n)-orbit, so a
+sample fixes the two entries with the largest d_i (n - d_i) (ties to the
+larger d_i, then the earlier entry) at coordinate subspaces,
 
-Soundness.  A chart sample is a point of the product of Grassmannians, so
-by upper semicontinuity of stabilizer dimension a *single* sample achieving
-the expected dimension already certifies density (the witness transfers
-across characteristic by spreading out).  Each chart is Zariski-open and
-dense in its Grassmannian, so a random chart point attains the generic
-stabilizer dimension with the same probability as any random point.  Sparse
-verdicts from sampling are one-sided Monte Carlo: every sample's stabilizer
-exceeding `expected` is evidence, with error probability shrinking in
-samples x primes.
+    U_1 = span(e_1..e_a) = [I_a; 0],   U_2 = span(e_{n-b+1}..e_n) = [0; I_b],
+
+which meet in span(e_{n-b+1}..e_a) when a + b > n.  A coordinate subspace
+span(e_j : j in S) is g-stable iff g[i, j] = 0 for all i not in S, j in S,
+so U_1 and U_2 force the blocks g[a:, :a] and g[:n-b, n-b:] to vanish.  The
+two blocks share no entry (that would need a <= i < n-b and n-b <= j < a),
+so a(n-a) + b(n-b) unknowns drop out together with those subspaces' rows.
+
+Every other subspace is sampled in the affine chart of Gr(d_i, n) spanned
+by the columns of U_i = [I_{d_i}; A_i], with A_i a random (n - d_i) x d_i
+matrix.  Q_i = [-A_i | I_{n - d_i}] satisfies Q_i U_i = 0 and has full row
+rank, so it is a left annihilator of U_i with no nullspace computation and
+no redraws.  The stabilizer Lie algebra is cut out of gl(n) by g U_i <= U_i,
+i.e. Q_i g U_i = 0: d_i (n - d_i) linear equations per chart subspace on the
+entries of g that no coordinate subspace forces to zero, stacked into one
+system and reduced by one rank computation, over F_p (modular mode) or over
+Q (rational mode, prime None).  The nullity is the number of kept unknowns
+minus that rank; for one or two subspaces the system is empty.  The same
+builder serves any configuration: a chart subspace whose A_i is zero is a
+coordinate subspace and is handled as one, which gives the same kernel.
+
+Soundness.  The pairs (U_1, U_2) in general position form a dense open
+subset of Gr(a, n) x Gr(b, n), and GL(n) is transitive on it, so the slice
+{U_1, U_2 fixed} meets every orbit of the dense open set where they are in
+general position.  Stabilizer dimension is constant along an orbit
+(stabilizers of g x and x are conjugate), so the set of points attaining
+the generic dimension is a GL(n)-stable dense open set; it meets the slice,
+hence is dense and open in the irreducible slice, and a random chart point
+of the slice attains the generic dimension with the same probability as any
+random point.  By upper semicontinuity a *single* sample achieving the
+expected dimension already certifies density (the witness transfers across
+characteristic by spreading out).  Sparse verdicts from sampling are
+one-sided Monte Carlo: every sample's stabilizer exceeding `expected` is
+evidence, with error probability shrinking in samples x primes.  The
+Schwartz-Zippel count is unchanged by the slice: every entry of the sliced
+system still has degree <= 2 in the A_i, so a nonzero r x r minor is a
+polynomial of degree <= 2r, now with r the smaller rank of the sliced
+system.
 """
 
 from __future__ import annotations
@@ -35,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DimensionVector
-from .linalg import bareiss_rank, mod_rank, random_prime
+from .linalg import bareiss_rank, is_probable_prime, mod_rank, random_prime
 
 log = logging.getLogger(__name__)
 
@@ -54,10 +78,11 @@ class VerdictClass(Enum):
 
 @dataclass(frozen=True)
 class GenericConfiguration:
-    """Sampled point of the product of Grassmannians, as chart matrices.
+    """Sampled point of the product of Grassmannians.
 
-    subspaces[i] is the n x d_i matrix [I_{d_i}; A_i], over F_prime (prime
-    set) or over Z viewed inside Q (prime None).
+    subspaces[i] is an n x d_i matrix over F_prime (prime set) or over Z
+    viewed inside Q (prime None): a chart matrix [I_{d_i}; A_i], or the
+    bottom coordinate subspace [0; I_{d_i}].
     """
 
     ambient: int
@@ -69,8 +94,11 @@ class GenericConfiguration:
         for u in self.subspaces:
             if u.ndim != 2 or u.shape[0] != self.ambient:
                 raise ValueError(f"subspace matrix shape {u.shape} does not match n={self.ambient}")
-            if not np.array_equal(u[: u.shape[1]], np.eye(u.shape[1], dtype=np.int64)):
-                raise ValueError("subspace matrix is not in chart form [I; A]")
+            eye = np.eye(u.shape[1], dtype=np.int64)
+            chart = np.array_equal(u[: u.shape[1]], eye)
+            bottom = np.array_equal(u[-u.shape[1]:], eye) and not u[: -u.shape[1]].any()
+            if not (chart or bottom):
+                raise ValueError("subspace matrix is neither a chart [I; A] nor [0; I]")
 
 
 @dataclass(frozen=True)
@@ -97,7 +125,8 @@ def sample_configuration(
     prime: Optional[int] = None,
     seed: int | np.random.SeedSequence = 0,
 ) -> GenericConfiguration:
-    """Draw a random chart point [I; A_i] per subspace, deterministically in
+    """Fix the slice's two entries at [I; 0] and [0; I] and draw a random
+    chart point [I; A_i] for every other subspace, deterministically in
     (d, prime, seed).  prime=None selects rational (integer-entry) mode."""
     if isinstance(seed, np.random.SeedSequence):
         ss, seed_tag = seed, int(seed.entropy[0]) if isinstance(seed.entropy, (list, tuple)) else 0
@@ -109,22 +138,43 @@ def sample_configuration(
     else:
         lo, hi = 0, prime
     n = d.ambient
-    mats = tuple(
-        np.vstack([np.eye(di, dtype=np.int64),
-                   rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)])
-        for di in d.dims
-    )
-    return GenericConfiguration(n, mats, prime, seed_tag)
+    # the slice's pair: largest d_i (n - d_i), then larger d_i, then earlier
+    fixed = sorted(range(d.length), reverse=True,
+                   key=lambda i: (d.dims[i] * (n - d.dims[i]), d.dims[i], -i))[:2]
+    mats = []
+    for i, di in enumerate(d.dims):
+        eye = np.eye(di, dtype=np.int64)
+        if i in fixed:
+            zero = np.zeros((n - di, di), dtype=np.int64)
+            mats.append(np.vstack([eye, zero] if i == fixed[0] else [zero, eye]))
+        else:
+            mats.append(np.vstack([eye, rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)]))
+    return GenericConfiguration(n, tuple(mats), prime, seed_tag)
 
 
 def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
-    """Stack kron(Q_i, U_i^T) with Q_i = [-A_i | I]: the conditions
-    Q_i g U_i = 0 on the row-major entries of g."""
-    blocks = [np.zeros((0, c.ambient ** 2), dtype=np.int64)]
+    """The conditions g U_i <= U_i on the entries of g left free.
+
+    A coordinate subspace span(e_j : j in S) only forces g[i, j] = 0 for
+    i not in S, j in S: those unknowns are dropped, and so are its rows.
+    Every other subspace is a chart [I; A] and contributes kron(Q, U^T),
+    Q = [-A | I]: the conditions Q g U = 0 on the row-major entries of g.
+    The result has one column per kept unknown."""
+    n = c.ambient
+    forced = np.zeros((n, n), dtype=bool)
+    charts = []
     for u in c.subspaces:
+        support = np.flatnonzero(u.any(axis=1))
+        if support.size == u.shape[1]:
+            forced[np.ix_(np.setdiff1d(np.arange(n), support), support)] = True
+        else:
+            charts.append(u)
+    kept = np.flatnonzero(~forced.ravel())
+    blocks = [np.zeros((0, kept.size), dtype=np.int64)]
+    for u in charts:
         a = u[u.shape[1] :]
         q = np.hstack([-a, np.eye(a.shape[0], dtype=np.int64)])
-        blocks.append(np.kron(q, u.T))
+        blocks.append(np.kron(q, u.T)[:, kept])
     return np.vstack(blocks)
 
 
@@ -132,8 +182,9 @@ def stabilizer_nullity(c: GenericConfiguration) -> int:
     """Nullity of the stabilizer system on gl(n); always >= 1 (scalars)."""
     m = _stabilizer_system(c)
     rank = bareiss_rank(m) if c.prime is None else mod_rank(m, c.prime)
-    nullity = c.ambient ** 2 - rank
-    assert nullity >= 1, "scalar matrices must lie in the stabilizer"
+    nullity = m.shape[1] - rank
+    if nullity < 1:
+        raise RuntimeError(f"nullity {nullity}: scalar matrices must lie in the stabilizer")
     return nullity
 
 
@@ -168,6 +219,9 @@ def oracle_decide(
         prime_cycle = [int(p) for p in primes]
         if not prime_cycle:
             raise ValueError("primes must be nonempty when given")
+        bad = [p for p in prime_cycle if not (is_probable_prime(p) and p < 2**31)]
+        if bad:
+            raise ValueError(f"primes must be primes below 2^31 (int64 elimination), got {bad}")
     else:
         prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
         first = random_prime(prng)
@@ -184,7 +238,9 @@ def oracle_decide(
         p = prime_cycle[s % len(prime_cycle)]
         cfg = sample_configuration(d, prime=p, seed=children[s])
         stab = stabilizer_nullity(cfg) - 1
-        assert stab >= expected, "stabilizer below the dimension bound: elimination bug"
+        if stab < expected:
+            raise RuntimeError(f"{d}: stabilizer dim {stab} below the dimension bound "
+                               f"{expected}: elimination bug")
         observed.append((p, stab))
         if stab == expected:
             earlier = [t for _, t in observed[:-1] if t != expected]

@@ -141,6 +141,7 @@ BALANCED_REFUTED = [
     ("(3,5^5;22)", 3, 1),
     ("(3^6,5;19)", 5, 2),
     ("(3^6,5^2;24)", 10, 7),
+    ("(3^6,4,5;23)", 5, 2),
 ]
 
 

@@ -2,14 +2,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassdense import oracle
 from grassdense.core import DimensionVector, parse
 from grassdense.linalg import mod_rank
 from grassdense.oracle import (
-    GenericConfiguration, VerdictClass, oracle_decide, sample_configuration,
-    stabilizer_nullity,
+    GenericConfiguration, VerdictClass, _stabilizer_system, oracle_decide,
+    sample_configuration, stabilizer_nullity,
 )
 
 P = 2_147_483_629
+
+
+def _full_system(c):
+    """kron(Q_i, U_i^T) for every subspace, on all n^2 entries of g, with a
+    left annihilator Q_i of each chart [I; A] or coordinate [0; I] matrix."""
+    n = c.ambient
+    blocks = [np.zeros((0, n * n), dtype=np.int64)]
+    for u in c.subspaces:
+        d = u.shape[1]
+        if (u[:d] == np.eye(d, dtype=np.int64)).all():
+            q = np.hstack([-u[d:], np.eye(n - d, dtype=np.int64)])
+        else:
+            q = np.eye(n - d, n, dtype=np.int64)
+        assert not (q @ u).any()
+        blocks.append(np.kron(q, u.T))
+    return np.vstack(blocks)
 
 
 def small_vectors():
@@ -24,16 +41,29 @@ class TestSampling:
         assert [u.shape for u in c.subspaces] == [(5, 1), (5, 2), (5, 2)]
         for u in c.subspaces:
             assert mod_rank(u.T, P) == u.shape[1]
-            assert (u[: u.shape[1]] == np.eye(u.shape[1], dtype=np.int64)).all()
+        # the two planes are fixed at span(e1, e2) and span(e4, e5); the point
+        # is a chart point [1; A]
+        point, top, bottom = c.subspaces
+        assert point[0, 0] == 1
+        assert (top == np.eye(5, 2, dtype=np.int64)).all()
+        assert (bottom == np.eye(5, 2, k=-3, dtype=np.int64)).all()
+
+    def test_fixed_pair_prefers_larger_entry_on_ties(self):
+        # d(n - d) = 156 for every entry; the two 13s are fixed, so the
+        # coordinate subspaces overlap in e_13
+        c = sample_configuration(parse("12^2,13^2;25"), prime=P, seed=0)
+        assert (c.subspaces[2] == np.eye(25, 13, dtype=np.int64)).all()
+        assert (c.subspaces[3] == np.eye(25, 13, k=-12, dtype=np.int64)).all()
+        assert c.subspaces[0][13:].any() and c.subspaces[1][13:].any()
 
     def test_deterministic(self):
-        a = sample_configuration(parse("2,3;6"), prime=P, seed=42)
-        b = sample_configuration(parse("2,3;6"), prime=P, seed=42)
+        a = sample_configuration(parse("2,3,3;6"), prime=P, seed=42)
+        b = sample_configuration(parse("2,3,3;6"), prime=P, seed=42)
         assert all((x == y).all() for x, y in zip(a.subspaces, b.subspaces))
 
     def test_seed_changes_sample(self):
-        a = sample_configuration(parse("2,3;6"), prime=P, seed=1)
-        b = sample_configuration(parse("2,3;6"), prime=P, seed=2)
+        a = sample_configuration(parse("2,3,3;6"), prime=P, seed=1)
+        b = sample_configuration(parse("2,3,3;6"), prime=P, seed=2)
         assert any((x != y).any() for x, y in zip(a.subspaces, b.subspaces))
 
     def test_rational_mode_entries_bounded(self):
@@ -65,6 +95,39 @@ class TestStabilizerNullity:
             for a in charts)
         c = GenericConfiguration(n, subspaces, prime, 0)
         assert stabilizer_nullity(c) == nullity
+
+    def test_two_subspaces_need_no_elimination(self):
+        c = sample_configuration(parse("15,14;30"), prime=P, seed=0)
+        assert _stabilizer_system(c).shape == (0, 451)
+        assert stabilizer_nullity(c) == 451
+
+    @pytest.mark.parametrize("prime", [P, None])
+    def test_overlapping_pair(self, prime):
+        # a + b > n: span(e1, e2) and span(e2, e3, e4) meet in a line
+        c = sample_configuration(parse("2,3;4"), prime=prime, seed=0)
+        assert stabilizer_nullity(c) - 1 == 8
+
+    def test_overlapping_pair_sparse(self):
+        r = oracle_decide(parse("12^2,13^2;25"), samples=1, seed=0)
+        assert (r.stab_dim, r.expected) == (12, 0)
+
+    @pytest.mark.parametrize("text", ["1,2,2;5", "1^2,2^2;3", "2,3,3;5", "3^4;7", "1^5,3;6"])
+    def test_matches_full_system(self, text):
+        for seed in range(3):
+            c = sample_configuration(parse(text), prime=P, seed=seed)
+            assert stabilizer_nullity(c) == c.ambient ** 2 - mod_rank(_full_system(c), P)
+
+    @given(small_vectors(), st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_system_random(self, d, seed):
+        c = sample_configuration(d, prime=P, seed=seed)
+        assert stabilizer_nullity(c) == c.ambient ** 2 - mod_rank(_full_system(c), P)
+
+    def test_rank_beyond_unknowns_raises(self, monkeypatch):
+        c = sample_configuration(parse("1,1,1,1;3"), prime=P, seed=0)
+        monkeypatch.setattr(oracle, "mod_rank", lambda m, p: c.ambient ** 2)
+        with pytest.raises(RuntimeError, match="scalar matrices"):
+            stabilizer_nullity(c)
 
 
 class TestOracleDecide:
@@ -120,6 +183,10 @@ class TestOracleDecide:
             oracle_decide(parse("1,2;4"), samples=0)
         with pytest.raises(ValueError):
             oracle_decide(parse("1,2;4"), mode="symbolic")
+        # 2^61 - 1 is prime but overflows int64 elimination; 1 and 9 are not prime
+        for primes in ([2**61 - 1], [1], [9], [P, 2**61 - 1]):
+            with pytest.raises(ValueError, match="primes"):
+                oracle_decide(parse("1,1,2,2;3"), primes=primes)
 
     @given(small_vectors())
     @settings(max_examples=40, deadline=None)
@@ -142,3 +209,6 @@ class TestGenericConfiguration:
             GenericConfiguration(4, (np.zeros((3, 1), dtype=np.int64),), P, 0)
         with pytest.raises(ValueError):
             GenericConfiguration(4, (np.zeros((4, 2), dtype=np.int64),), P, 0)
+        with pytest.raises(ValueError):
+            GenericConfiguration(4, (np.array([[2], [0], [0], [1]], dtype=np.int64),), P, 0)
+        GenericConfiguration(4, (np.eye(4, 2, k=-2, dtype=np.int64),), P, 0)
