@@ -37,13 +37,10 @@ RULE_LABELS = {
     rules.SUM_DENSE: "small total sum",
     rules.L3: "restrict to span",
     rules.SUBSEQ_2N: "2n subsequence",
-    rules.L6: "pair collapse",
-    rules.L7: "largest block",
     rules.L8: "complementary pair",
     rules.L9: "span intersect",
     rules.L10: "intersection swap",
     rules.LENGTH4: "length-4 table",
-    rules.POINTS_BASE: "point configurations",
     rules.SIZE_TABLE: "small-size table",
     rules.BALANCED: "balanced window",
     rules.EXCESS_L1: "excess collapse",

@@ -30,13 +30,10 @@ from .core import DimensionVector, VacuousVectorError, normalize, parse
 SUM_DENSE = "SumDense"
 L3 = "L3"
 SUBSEQ_2N = "SubseqTwoN"
-L6 = "L6"
-L7 = "L7"
 L8 = "L8"
 L9 = "L9"
 L10 = "L10"
 LENGTH4 = "Length4"
-POINTS_BASE = "PointsBase"
 SIZE_TABLE = "SizeTable"
 BALANCED = "Balanced"
 EXCESS_L1 = "ExcessL1"
@@ -155,20 +152,6 @@ def rule_length4(d: DimensionVector) -> Optional[RewriteStep]:
     if d.length == 4 and d.total == 2 * d.ambient:
         return _step(LENGTH4, BASE_SPARSE, d, (), length=d.length, total=d.total)
     return _step(LENGTH4, BASE_DENSE, d, (), length=d.length, total=d.total)
-
-
-def rule_points_base(d: DimensionVector) -> Optional[RewriteStep]:
-    """Point configurations (1^r;n): dense iff r <= n+1.  Also the dense
-    configuration of n points plus one hyperplane, (1^n, n-1; n).  Both
-    patterns are recognized up to complement."""
-    n = d.ambient
-    for side, v in (("self", d), ("complement", d.complement())):
-        if all(x == 1 for x in v.dims):
-            direction = BASE_DENSE if v.length <= n + 1 else BASE_SPARSE
-            return _step(POINTS_BASE, direction, d, (), side=side, form="points", count=v.length)
-        if n >= 3 and v.dims == (1,) * n + (n - 1,):
-            return _step(POINTS_BASE, BASE_DENSE, d, (), side=side, form="points+hyperplane")
-    return None
 
 
 def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
@@ -369,37 +352,6 @@ def rule_restrict_to_span(d: DimensionVector) -> list[RewriteStep]:
     return _dedup(steps)
 
 
-def rule_pair_collapse(d: DimensionVector) -> list[RewriteStep]:
-    """Collapse a repeated pair: two copies of b with b <= n/2 and
-    b + sum(rest) = n project to a configuration in dimension n - b with a
-    single copy of b.  Density transfers both ways."""
-    n = d.ambient
-    counts = Counter(d.dims)
-    steps = []
-    for b in sorted(counts):
-        if counts[b] < 2 or 2 * b > n:
-            continue
-        rest = _remove(d.dims, (b, b))
-        if b + sum(rest) != n:
-            continue
-        steps.append(_iff_step(L6, d, list(rest) + [b], n - b, b=b))
-    return _dedup(steps)
-
-
-def rule_largest_block(d: DimensionVector) -> list[RewriteStep]:
-    """Pass to the largest subspace: if the other entries sum to exactly n
-    and each fits alongside b (a + b <= n), the configuration restricts to
-    the b-dimensional subspace.  Density transfers both ways."""
-    n = d.ambient
-    b = d.size
-    others = _remove(d.dims, (b,))
-    if not others or sum(others) != n:
-        return []
-    if any(a + b > n for a in others):
-        return []
-    return [_iff_step(L7, d, list(others), b, b=b)]
-
-
 def rule_complementary_pair(d: DimensionVector, ) -> list[RewriteStep]:
     """Complementary pair: entries b1 + b2 = n and the rest summing to
     n - k with k <= b1 <= b2 reduce to ambient n - k, shrinking the pair to
@@ -488,7 +440,6 @@ def rule_complement(d: DimensionVector) -> RewriteStep:
 BASE_RULES = {
     TRIVIALLY_SPARSE: rule_trivially_sparse,
     SUM_DENSE: rule_sum_dense,
-    POINTS_BASE: rule_points_base,
     LENGTH4: rule_length4,
     SIZE_TABLE: rule_size_table,
     BALANCED: rule_balanced,
@@ -501,8 +452,6 @@ REDUCTION_RULES = {
     L3: rule_restrict_to_span,
     L8: rule_complementary_pair,
     L9: rule_span_intersect,
-    L6: rule_pair_collapse,
-    L7: rule_largest_block,
     L10: rule_intersection_swap,
 }
 

@@ -70,6 +70,9 @@ class TestDecide:
         # raw wire ids stay out of human output
         assert rules.EXCESS_L1 not in out
 
+    def test_every_rule_has_a_label(self):
+        assert set(RULE_LABELS) == rules.RULE_IDS
+
     def test_oracle_force_attaches_report(self, capsys):
         code, out, _ = run(capsys, "decide", "1,2,2;5", "--json",
                            "--oracle", "force", "--samples", "2")

@@ -214,6 +214,20 @@ class TestKnownFamilies:
             d = DimensionVector((k - 1, k - 1, k, k), 2 * k - 1)
             assert decide(d).status is Status.SPARSE
 
+    @pytest.mark.parametrize("n", range(13, 31))
+    def test_long_point_forms(self, n):
+        # longer than SUBSET_ENUM_CAP, so no subset rule fires: the dense
+        # forms end in SumDense (the hyperplane form via ExcessL1), the
+        # sparse one in the dimension count
+        cases = [((1,) * n, True), ((1,) * (n + 1), True),
+                 ((1,) * n + (n - 1,), True), ((1,) * (n + 2), False)]
+        for dims, dense in cases:
+            d = DimensionVector(dims, n)
+            for v in (d, d.complement()):
+                verdict = decide(v)
+                assert verdict.status is (Status.DENSE if dense else Status.SPARSE), str(v)
+                assert verify_certificate(verdict.certificate), str(v)
+
     def test_staircase_family_sparse(self):
         # (1^2, 2^2, 3^c; 3c+3) for c = 0..3
         for c in range(4):

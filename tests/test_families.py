@@ -113,10 +113,11 @@ class TestClassifySize:
             r = oracle_decide(v, samples=2, seed=31)
             assert r.is_dense, str(v)
 
-    def test_predicate_matches_engine(self):
-        c = classify_size(2)
-        for v in enumerate_vectors(9, 8, 2):
-            if v.size != 2:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_predicate_matches_engine(self, size):
+        c = classify_size(size)
+        for v in enumerate_vectors(9, 8, size):
+            if v.size != size:
                 continue
             assert c.is_dense(v) == (decide(v).status is Status.DENSE), str(v)
 

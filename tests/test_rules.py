@@ -59,24 +59,6 @@ class TestLength4:
         assert R.rule_length4(parse("1,1,1,1,1;3")) is None
 
 
-class TestPointsBase:
-    def test_points_dense_and_sparse(self):
-        assert R.rule_points_base(parse("1,1,1,1;3")).direction == R.BASE_DENSE
-        assert R.rule_points_base(parse("1,1,1,1,1;3")).direction == R.BASE_SPARSE
-
-    def test_points_hyperplane(self):
-        s = R.rule_points_base(parse("1,1,1,2;3"))
-        assert s.direction == R.BASE_DENSE
-        assert s.params_dict()["form"] == "points+hyperplane"
-
-    def test_complement_side(self):
-        s = R.rule_points_base(parse("2,2,2,2;3"))
-        assert s.direction == R.BASE_DENSE and s.params_dict()["side"] == "complement"
-
-    def test_no_fire(self):
-        assert R.rule_points_base(parse("1,2;4")) is None
-
-
 class TestSubseqTwoN:
     def test_fires_on_self(self):
         s = R.rule_subseq_2n(parse("1,1,3,3,4;6"))
@@ -242,29 +224,6 @@ class TestRestrictSpan:  # L3
 
     def test_cap(self):
         assert R.rule_restrict_to_span(DimensionVector((1,) * 13, 20)) == []
-
-
-class TestPairCollapse:  # L6
-    def test_example(self):
-        steps = R.rule_pair_collapse(parse("2,2,3;5"))
-        assert [(str(s.outputs[0]), s.params_dict()["b"]) for s in steps] == [("(2;3)", 2)]
-
-    def test_vacuous(self):
-        steps = R.rule_pair_collapse(parse("2,2,2;4"))
-        assert len(steps) == 1 and steps[0].is_vacuous
-
-    def test_requires_half(self):
-        # b=3 > n/2 for n=5: no fire even though 3 + 2 = 5
-        assert R.rule_pair_collapse(parse("2,3,3;5")) == []
-
-
-class TestBigBlock:  # L7
-    def test_example(self):
-        steps = R.rule_largest_block(parse("1,1,2,2;4"))
-        assert [str(s.outputs[0]) for s in steps] == ["(1^2;2)"]
-
-    def test_requires_fit(self):
-        assert R.rule_largest_block(parse("2,3,4;5")) == []  # 3+4 > 5
 
 
 class TestComplementaryPair:  # L8
