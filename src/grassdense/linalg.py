@@ -2,8 +2,14 @@
 
 Modular elimination is the workhorse: entries live in [0, p) with p just
 below 2^31, so a product of two residues fits in an int64 and the inner
-update of Gaussian elimination vectorizes in numpy.  Fraction-free Bareiss
-elimination is the slow exact rank over Q for small instances.
+update of Gaussian elimination vectorizes in numpy.  Each pivot updates only
+the rows that are nonzero in its column, so the work tracks the fill, and
+mod_rank takes columns sparsest first: the oracle's stabilizer systems have
+7-26 % nonzero entries, and the row-major order of g fills them in heavily
+(13.0 M element updates instead of 1.1 M on a (5^5;30) sample).  Rank is
+invariant under column permutation, so the order changes the cost only.
+Fraction-free Bareiss elimination is the slow exact rank over Q for small
+instances.
 """
 
 from __future__ import annotations
@@ -48,40 +54,46 @@ def random_prime(rng: np.random.Generator, lo: int = 2**30 + 1, hi: int = 2**31)
             return c
 
 
-def _eliminate(m: np.ndarray, p: int) -> list[int]:
-    """In-place row echelon form of int64 matrix mod p; returns pivot columns.
+def _eliminate(m: np.ndarray, p: int) -> int:
+    """In-place row echelon form of int64 matrix mod p; returns the rank.
 
-    Row updates are vectorized; residue * residue < p^2 < 2^62 keeps
-    everything in int64.
+    One scan of the pivot column yields the pivot row and the rows to
+    update; their multipliers are scaled by the pivot's inverse, so the
+    pivot row is never normalized.  Row updates are vectorized;
+    residue * residue < p^2 < 2^62 keeps everything in int64.
     """
     rows, cols = m.shape
-    pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r, c:] = m[r, c:] * inv % p
-        targets = np.nonzero(m[r + 1 :, c])[0] + r + 1
+        targets = nz[1:] + r
         if targets.size:
-            m[targets, c:] = (m[targets, c:] - np.outer(m[targets, c], m[r, c:])) % p
-        pivots.append(c)
+            f = m[targets, c] * pow(int(m[r, c]), -1, p) % p
+            m[targets, c:] = (m[targets, c:] - np.outer(f, m[r, c:])) % p
         r += 1
-    return pivots
+    return r
 
 
 def mod_rank(a: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over Z/p."""
-    m = np.asarray(a, dtype=np.int64) % p
-    if m.size == 0:
+    """Rank of an integer matrix over Z/p.
+
+    Eliminates one working copy whose columns are sorted by ascending
+    nonzero count (stable), which keeps fill low on sparse systems; the
+    rank is that of the input, since column permutations preserve it.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.size == 0:
         return 0
-    return len(_eliminate(m, p))
+    m = np.take(a, np.argsort(np.count_nonzero(a, axis=0), kind="stable"), axis=1)
+    np.remainder(m, p, out=m)
+    return _eliminate(m, p)
 
 
 def bareiss_rank(a) -> int:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from grassdense.linalg import bareiss_rank, is_probable_prime, mod_rank, random_prime
+from grassdense.linalg import _eliminate, bareiss_rank, is_probable_prime, mod_rank, random_prime
 
 P = 2_147_483_629  # largest prime below 2^31
 
@@ -40,6 +41,46 @@ class TestModular:
         a = rng.integers(-4, 5, size=(4, 5))
         assert mod_rank(a % P, P) == np.linalg.matrix_rank(a.astype(float))
         assert bareiss_rank(a) == np.linalg.matrix_rank(a.astype(float))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_rank_zero(self, shape):
+        assert mod_rank(np.zeros(shape, dtype=np.int64), P) == 0
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices up to 12 x 16 with at most half of each row nonzero,
+    some all-zero rows and columns, duplicated rows, negative entries and
+    nonzero multiples of P, which are zero mod P but count as nonzero when
+    mod_rank orders the columns."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 16))
+    entries = st.one_of(st.integers(-9, 9), st.sampled_from([P, -P, 2 * P, P - 1, 1 - P]))
+    a = draw(arrays(np.int64, (rows, cols), elements=entries))
+    for row in a:
+        nonzero = np.flatnonzero(row)
+        drop = draw(st.permutations(nonzero.tolist()))[: max(0, nonzero.size - cols // 2)]
+        row[drop] = 0
+    a[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = 0
+    a[:, draw(st.lists(st.integers(0, cols - 1), max_size=4))] = 0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1)),
+                                  max_size=3)):
+        a[dst] = a[src]
+    return a
+
+
+class TestColumnOrder:
+    @given(sparse_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unordered_elimination(self, a):
+        assert (a == 0).sum() * 2 >= a.size
+        assert mod_rank(a, P) == _eliminate(a % P, P)
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_permutations(self, a, data):
+        rows = data.draw(st.permutations(range(a.shape[0])))
+        cols = data.draw(st.permutations(range(a.shape[1])))
+        assert mod_rank(a[rows][:, cols], P) == mod_rank(a, P)
 
 
 class TestRational:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from grassdense import oracle
 from grassdense.core import DimensionVector, parse
-from grassdense.linalg import mod_rank
+from grassdense.linalg import _eliminate, mod_rank
 from grassdense.oracle import (
     GenericConfiguration, VerdictClass, _stabilizer_system, oracle_decide,
     sample_configuration, stabilizer_nullity,
@@ -122,6 +122,18 @@ class TestStabilizerNullity:
     def test_matches_full_system_random(self, d, seed):
         c = sample_configuration(d, prime=P, seed=seed)
         assert stabilizer_nullity(c) == c.ambient ** 2 - mod_rank(_full_system(c), P)
+
+    @pytest.mark.parametrize("text, rank", [
+        ("10^3;30", 200), ("5^5;30", 375), ("1^10;30", 232), ("15,14;30", 0),
+        ("9^3;27", 162), ("7^4;28", 294), ("12^2,13^2;25", 300),
+    ])
+    def test_benchmark_scale_matches_unordered_elimination(self, text, rank):
+        # the oracle-n30 benchmark vectors, against elimination in the
+        # row-major column order of g
+        c = sample_configuration(parse(text), prime=P, seed=1)
+        m = _stabilizer_system(c)
+        assert _eliminate(m % P, P) == rank
+        assert stabilizer_nullity(c) == m.shape[1] - rank
 
     def test_rank_beyond_unknowns_raises(self, monkeypatch):
         c = sample_configuration(parse("1,1,1,1;3"), prime=P, seed=0)
