@@ -8,7 +8,7 @@ randomized linear-algebra oracle that measures the stabilizer dimension of
 explicit generic configurations.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import (
     AmbientMismatchError,

@@ -34,7 +34,6 @@ EXIT_USAGE = 3
 
 # human-readable labels for rule ids (printed by --trace and --help)
 RULE_LABELS = {
-    rules.SUM_DENSE: "small total sum",
     rules.L3: "restrict to span",
     rules.SUBSEQ_2N: "2n subsequence",
     rules.L8: "complementary pair",
@@ -88,7 +87,7 @@ def _record(d: DimensionVector, verdict: Verdict, method: str, key: dict) -> dic
         "vector": _vec_json(d),
         "status": verdict.status.value,
         "method": method,
-        "trivially_sparse": verdict.trivially_sparse,
+        "trivially_sparse": verdict.status is Status.SPARSE and d.is_trivially_sparse,
         "trace": _trace_json(verdict.certificate),
         "oracle": _oracle_json(verdict.oracle),
         "key": key,
@@ -200,10 +199,10 @@ def cmd_decide(args, parser: _Parser) -> int:
             method = "engine+oracle" if verdict.status is not Status.UNKNOWN else "oracle"
             if verdict.status is Status.UNKNOWN:
                 verdict = Verdict(Status.DENSE if report.is_dense else Status.SPARSE,
-                                  trivially_sparse=d.is_trivially_sparse, oracle=report)
+                                  oracle=report)
             else:
-                verdict = Verdict(verdict.status, trivially_sparse=verdict.trivially_sparse,
-                                  certificate=verdict.certificate, oracle=report)
+                verdict = Verdict(verdict.status, certificate=verdict.certificate,
+                                  oracle=report)
         record = _record(d, verdict, method, key)
         if not args.no_cache:
             _cache_append(cache, record)

@@ -210,17 +210,13 @@ class Status(Enum):
 class Verdict:
     """Decision outcome with provenance.
 
-    Dense verdicts always carry a certificate or an oracle report; the
-    trivially_sparse flag is only meaningful on Sparse verdicts.
+    Dense verdicts always carry a certificate or an oracle report.
     """
 
     status: Status
-    trivially_sparse: bool = False
     certificate: Optional[object] = None  # engine.Certificate
     oracle: Optional[object] = None  # oracle.OracleReport
 
     def __post_init__(self) -> None:
         if self.status is Status.DENSE and self.certificate is None and self.oracle is None:
             raise ValueError("Dense verdict requires a certificate or an oracle report")
-        if self.trivially_sparse and self.status is not Status.SPARSE:
-            raise ValueError("trivially_sparse only applies to Sparse verdicts")

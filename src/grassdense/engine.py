@@ -109,13 +109,11 @@ class Engine:
         if not prefix:
             return verdict
         cert = Certificate(d, verdict.status, prefix + verdict.certificate.steps)
-        return Verdict(verdict.status, trivially_sparse=verdict.trivially_sparse,
-                       certificate=cert)
+        return Verdict(verdict.status, certificate=cert)
 
     def _settle(self, rep: DimensionVector, status: Status,
-                steps: tuple[RewriteStep, ...], trivially_sparse: bool = False) -> Verdict:
-        verdict = Verdict(status, trivially_sparse=trivially_sparse,
-                          certificate=Certificate(rep, status, steps))
+                steps: tuple[RewriteStep, ...]) -> Verdict:
+        verdict = Verdict(status, certificate=Certificate(rep, status, steps))
         self.memo[rep] = verdict
         return verdict
 
@@ -137,8 +135,7 @@ class Engine:
         step = self._base_step(rep)
         if step is not None:
             status = Status.DENSE if step.direction == BASE_DENSE else Status.SPARSE
-            return self._with_prefix(d, prefix, self._settle(
-                rep, status, (step,), trivially_sparse=step.rule_id == TRIVIALLY_SPARSE))
+            return self._with_prefix(d, prefix, self._settle(rep, status, (step,)))
 
         in_progress.add(rep)
         try:
@@ -183,7 +180,7 @@ class Engine:
             return verdict
         report = oracle_decide(d, samples=samples, seed=seed)
         status = Status.DENSE if report.is_dense else Status.SPARSE
-        return Verdict(status, trivially_sparse=d.is_trivially_sparse, oracle=report)
+        return Verdict(status, oracle=report)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .core import DimensionVector, Status, VacuousVectorError, normalize
 from .engine import Engine
@@ -79,9 +79,6 @@ def enumerate_vectors(max_n: int, max_len: int,
 # ---------------------------------------------------------------------------
 # classification by maximal entry
 # ---------------------------------------------------------------------------
-
-Backend = Callable[[DimensionVector], Status]
-
 
 @dataclass(frozen=True)
 class FamilyRule:
@@ -151,18 +148,6 @@ class SizeClassification:
         return "\n".join(lines) + "\n"
 
 
-def _default_backend() -> Backend:
-    # size-table lookups are exactly what classify_size recomputes, so the
-    # default backend runs the engine without them and falls back to the
-    # sampling oracle (5 samples, fixed seed) for anything left undecided
-    eng = Engine(use_size_table=False)
-
-    def decide(d: DimensionVector) -> Status:
-        return eng.decide_with_oracle(d, samples=5, seed=20260815).status
-
-    return decide
-
-
 def _excess_candidates(l: int) -> Iterator[DimensionVector]:
     """Vectors of size l that could be dense with excess >= l+1.
 
@@ -196,7 +181,7 @@ def _excess_candidates(l: int) -> Iterator[DimensionVector]:
             yield DimensionVector(dims, n)
 
 
-def classify_size(l: int, backend: Optional[Backend] = None) -> SizeClassification:
+def classify_size(l: int) -> SizeClassification:
     """Classify the dense vectors of size l (maximal entry l), for l <= 5.
 
     The infinite part is organized by excess: excess <= 1 is always dense;
@@ -207,13 +192,13 @@ def classify_size(l: int, backend: Optional[Backend] = None) -> SizeClassificati
     """
     if not 1 <= l <= 5:
         raise ValueError("classification supported for sizes 1..5")
-    decide = backend or _default_backend()
-    cache: dict[DimensionVector, Status] = {}
+    # size-table lookups are exactly what this recomputes, so the engine runs
+    # without them and falls back to the sampling oracle (5 samples, fixed
+    # seed) for anything left undecided
+    eng = Engine(use_size_table=False)
 
     def is_dense(d: DimensionVector) -> bool:
-        if d not in cache:
-            cache[d] = decide(d)
-        return cache[d] is Status.DENSE
+        return eng.decide_with_oracle(d, samples=5, seed=20260815).status is Status.DENSE
 
     families = []
     for e in range(2, l + 1):

@@ -88,7 +88,6 @@ class GenericConfiguration:
     ambient: int
     subspaces: tuple[np.ndarray, ...]
     prime: Optional[int]
-    seed: int
 
     def __post_init__(self) -> None:
         for u in self.subspaces:
@@ -104,7 +103,6 @@ class GenericConfiguration:
 @dataclass(frozen=True)
 class OracleReport:
     vector: DimensionVector
-    mode: str  # "modular" | "rational"
     primes: tuple[Optional[int], ...]
     prime: Optional[int]  # prime of the decisive (or best) sample
     seed: int
@@ -128,11 +126,9 @@ def sample_configuration(
     """Fix the slice's two entries at [I; 0] and [0; I] and draw a random
     chart point [I; A_i] for every other subspace, deterministically in
     (d, prime, seed).  prime=None selects rational (integer-entry) mode."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss, seed_tag = seed, int(seed.entropy[0]) if isinstance(seed.entropy, (list, tuple)) else 0
-    else:
-        ss, seed_tag = np.random.SeedSequence([int(seed), prime or 0]), int(seed)
-    rng = np.random.default_rng(ss)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence([int(seed), prime or 0])
+    rng = np.random.default_rng(seed)
     if prime is None:
         lo, hi = -_RATIONAL_ENTRY_BOUND, _RATIONAL_ENTRY_BOUND + 1
     else:
@@ -149,7 +145,7 @@ def sample_configuration(
             mats.append(np.vstack([eye, zero] if i == fixed[0] else [zero, eye]))
         else:
             mats.append(np.vstack([eye, rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)]))
-    return GenericConfiguration(n, tuple(mats), prime, seed_tag)
+    return GenericConfiguration(n, tuple(mats), prime)
 
 
 def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
@@ -208,7 +204,7 @@ def oracle_decide(
     expected = d.expected_stab_dim
     if expected < 0:
         return OracleReport(
-            vector=d, mode=mode, primes=(), prime=None, seed=seed, samples=0,
+            vector=d, primes=(), prime=None, seed=seed, samples=0,
             stab_dims=(), stab_dim=None, expected=expected,
             verdict_class=VerdictClass.MONTE_CARLO_SPARSE,
         )
@@ -250,7 +246,7 @@ def oracle_decide(
                 anomalies.append(msg)
                 log.warning(msg)
             return OracleReport(
-                vector=d, mode=mode, primes=tuple(prime_cycle), prime=p, seed=seed,
+                vector=d, primes=tuple(prime_cycle), prime=p, seed=seed,
                 samples=s + 1, stab_dims=tuple(observed), stab_dim=stab,
                 expected=expected, verdict_class=VerdictClass.CERTIFIED_DENSE,
                 anomalies=tuple(anomalies),
@@ -262,7 +258,7 @@ def oracle_decide(
         log.warning(msg)
     best_prime, best = min(observed, key=lambda pt: pt[1])
     return OracleReport(
-        vector=d, mode=mode, primes=tuple(prime_cycle), prime=best_prime, seed=seed,
+        vector=d, primes=tuple(prime_cycle), prime=best_prime, seed=seed,
         samples=samples, stab_dims=tuple(observed), stab_dim=best, expected=expected,
         verdict_class=VerdictClass.MONTE_CARLO_SPARSE, anomalies=tuple(anomalies),
     )

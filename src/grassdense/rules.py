@@ -15,11 +15,14 @@ engine's search order, and every registered rule is called as fn(v).
 A rewrite may produce a vector all of whose entries drop during
 normalization ("vacuous": the configuration degenerates to a point, which is
 dense).  Such steps carry empty outputs and params ``vacuous=True``; for an
-Iff rule this settles the input as dense.
+Iff rule this settles the input as dense.  The excess collapse at l = 0 is
+always vacuous, so it is how a total of at most n+1 is proved dense.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -27,7 +30,6 @@ from typing import Iterator, Optional
 from .core import DimensionVector, VacuousVectorError, normalize, parse
 
 # rule_id wire strings
-SUM_DENSE = "SumDense"
 L3 = "L3"
 SUBSEQ_2N = "SubseqTwoN"
 L8 = "L8"
@@ -47,9 +49,9 @@ SPARSE_IF = "SparseIf"
 BASE_DENSE = "BaseDense"
 BASE_SPARSE = "BaseSparse"
 
-# Subset/partition enumeration is exhaustive up to this length; longer
-# vectors make the subset rules return nothing (the engine reports Unknown
-# rather than hanging).
+# Subset enumeration is exhaustive up to 2**SUBSET_ENUM_CAP sub-multisets
+# (the count for 12 distinct entries); vectors with more make the subset
+# rules return nothing (the engine reports Unknown rather than hanging).
 SUBSET_ENUM_CAP = 12
 
 
@@ -88,18 +90,16 @@ def _try_normalize(entries, ambient) -> Optional[DimensionVector]:
 def _submultisets(dims: tuple[int, ...], min_size: int = 1) -> Iterator[tuple[int, ...]]:
     """All distinct sub-multisets with at least min_size entries, as sorted
     tuples, in a deterministic order (not sorted by size)."""
-    items = sorted(Counter(dims).items())
+    blocks = [[(v,) * t for t in range(m + 1)] for v, m in sorted(Counter(dims).items())]
+    for parts in itertools.product(*blocks):
+        sub = sum(parts, ())
+        if len(sub) >= min_size:
+            yield sub
 
-    def rec(i: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(items):
-            if len(chosen) >= min_size:
-                yield tuple(chosen)
-            return
-        v, mult = items[i]
-        for take in range(mult + 1):
-            yield from rec(i + 1, chosen + [v] * take)
 
-    yield from rec(0, [])
+def _too_many_subsets(d: DimensionVector) -> bool:
+    """More than 2**SUBSET_ENUM_CAP sub-multisets (prod of multiplicity + 1)."""
+    return math.prod(m + 1 for m in d.multiplicities().values()) > 2**SUBSET_ENUM_CAP
 
 
 def _remove(dims: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,37 +132,25 @@ def rule_trivially_sparse(d: DimensionVector) -> Optional[RewriteStep]:
     return _step(TRIVIALLY_SPARSE, BASE_SPARSE, d, (), expected=expected)
 
 
-def rule_sum_dense(d: DimensionVector) -> Optional[RewriteStep]:
-    """Total dimension at most n+1 (on either side) forces density: the
-    subspaces can be put in general position spanning independently."""
-    n = d.ambient
-    if d.total <= n + 1:
-        return _step(SUM_DENSE, BASE_DENSE, d, (), side="self", total=d.total)
-    c = d.complement()
-    if c.total <= n + 1:
-        return _step(SUM_DENSE, BASE_DENSE, d, (), side="complement", total=c.total)
-    return None
-
-
 def rule_length4(d: DimensionVector) -> Optional[RewriteStep]:
     """Vectors of length <= 4 are classified completely: sparse exactly for
-    length 4 with total dimension 2n, dense otherwise."""
-    if d.length > 4:
+    length 4 with total dimension 2n (the whole-vector case of
+    rule_subseq_2n, left to it), dense otherwise."""
+    if d.length > 4 or (d.length == 4 and d.total == 2 * d.ambient):
         return None
-    if d.length == 4 and d.total == 2 * d.ambient:
-        return _step(LENGTH4, BASE_SPARSE, d, (), length=d.length, total=d.total)
     return _step(LENGTH4, BASE_DENSE, d, (), length=d.length, total=d.total)
 
 
 def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
     """A sub-multiset of at least 4 entries summing to exactly 2n (in d or
     its complement) forces sparsity: split it into four nonempty parts of
-    size <= n-1, merge to a length-4 vector of total 2n, and dominate.
+    size <= n-1, merge to a length-4 vector of total 2n, and dominate.  A
+    length-4 vector of total 2n is the whole-vector case.
 
     Three-entry subsets are NOT sufficient ((2,3,3;4) sums to 2n yet is
     dense), hence the >= 4 guard.
     """
-    if d.length > SUBSET_ENUM_CAP:
+    if _too_many_subsets(d):
         return None
     target = 2 * d.ambient
     for side, v in (("self", d), ("complement", d.complement())):
@@ -333,17 +321,15 @@ def rule_restrict_to_span(d: DimensionVector) -> list[RewriteStep]:
     with sum(A) = n - k < n and sum(n - b for b in B) <= n - k; inside the
     span of the A-subspaces (generically of dimension n - k) the B-subspaces
     cut out subspaces of dimension b - k.  Density transfers both ways."""
-    if d.length > SUBSET_ENUM_CAP:
+    if _too_many_subsets(d):
         return []
     n = d.ambient
     steps = []
     for sub in _submultisets(d.dims):
-        rest = _remove(d.dims, sub)
-        if not rest:
-            continue
         sa = sum(sub)
-        if sa >= n:
+        if sa >= n or len(sub) == d.length:  # too big, or nothing left for B
             continue
+        rest = _remove(d.dims, sub)
         k = n - sa
         if sum(n - b for b in rest) > sa:
             continue
@@ -407,7 +393,7 @@ def rule_intersection_swap(d: DimensionVector) -> list[RewriteStep]:
     sum(S) = (k-1) n gets every selected entry a replaced by n - a, ambient
     unchanged.  Density transfers both ways.  (k = 2 would be the identity.)
     """
-    if d.length > SUBSET_ENUM_CAP:
+    if _too_many_subsets(d):
         return []
     n = d.ambient
     steps = []
@@ -421,12 +407,13 @@ def rule_intersection_swap(d: DimensionVector) -> list[RewriteStep]:
 
 
 def rule_excess(d: DimensionVector) -> list[RewriteStep]:
-    """Excess collapse: total dimension n + l + 1 with 1 <= l < size reduces
-    to the profile of small entries, (1^{e_1},...,l^{e_l}; l+1).  Density
-    transfers both ways.  l = 0 is the total <= n+1 density bound and is
-    left to rule_sum_dense."""
-    l = d.excess - 1
-    if l < 1 or l >= d.size:
+    """Excess collapse: total dimension n + l + 1 with l < size reduces to
+    the profile of small entries, (1^{e_1},...,l^{e_l}; l+1).  Density
+    transfers both ways.  At l = 0 the profile is empty, so the step is
+    vacuous: total n+1 is dense, and so is any smaller total (the subspaces
+    span independently), which gets the same l = 0 step."""
+    l = max(d.excess - 1, 0)
+    if l >= d.size:
         return []
     kept = [a for a in d.dims if a <= l]
     return [_iff_step(EXCESS_L1, d, kept, l + 1, l=l)]
@@ -439,7 +426,6 @@ def rule_complement(d: DimensionVector) -> RewriteStep:
 
 BASE_RULES = {
     TRIVIALLY_SPARSE: rule_trivially_sparse,
-    SUM_DENSE: rule_sum_dense,
     LENGTH4: rule_length4,
     SIZE_TABLE: rule_size_table,
     BALANCED: rule_balanced,

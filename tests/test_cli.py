@@ -64,6 +64,12 @@ class TestDecide:
         for step in rec["trace"]:
             assert set(step) == {"rule", "direction", "params", "from", "to"}
 
+    def test_json_trivially_sparse(self, capsys):
+        # computed from the vector, for engine and oracle verdicts alike
+        for oracle in ("off", "force"):
+            code, out, _ = run(capsys, "decide", "1,1,1,1,2;4", "--json", "--oracle", oracle)
+            assert code == EXIT_SPARSE and json.loads(out)["trivially_sparse"] is True
+
     def test_trace_uses_labels_not_ids(self, capsys):
         _, out, _ = run(capsys, "decide", "1,2,2;5", "--trace")
         assert any(label in out for label in RULE_LABELS.values())

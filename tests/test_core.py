@@ -145,9 +145,5 @@ class TestVerdict:
         with pytest.raises(ValueError):
             Verdict(Status.DENSE)
 
-    def test_trivially_sparse_must_be_sparse(self):
-        with pytest.raises(ValueError):
-            Verdict(Status.DENSE, trivially_sparse=True)
-
     def test_sparse_bare_ok(self):
         assert Verdict(Status.SPARSE).status is Status.SPARSE

@@ -56,7 +56,7 @@ class TestDecide:
 
     def test_trivially_sparse_leaf(self):
         v = decide(parse("1,1,1,1,2;4"))
-        assert v.status is Status.SPARSE and v.trivially_sparse
+        assert v.status is Status.SPARSE
         assert v.certificate.steps[-1].rule_id == R.TRIVIALLY_SPARSE
 
     def test_complement_prefix(self):
@@ -216,9 +216,8 @@ class TestKnownFamilies:
 
     @pytest.mark.parametrize("n", range(13, 31))
     def test_long_point_forms(self, n):
-        # longer than SUBSET_ENUM_CAP, so no subset rule fires: the dense
-        # forms end in SumDense (the hyperplane form via ExcessL1), the
-        # sparse one in the dimension count
+        # long vectors with few distinct entries: every certificate must
+        # re-fire, however the search reaches it
         cases = [((1,) * n, True), ((1,) * (n + 1), True),
                  ((1,) * n + (n - 1,), True), ((1,) * (n + 2), False)]
         for dims, dense in cases:
@@ -227,6 +226,12 @@ class TestKnownFamilies:
                 verdict = decide(v)
                 assert verdict.status is (Status.DENSE if dense else Status.SPARSE), str(v)
                 assert verify_certificate(verdict.certificate), str(v)
+
+    def test_long_vector_settled_by_subset(self):
+        # length 13 but only 48 sub-multisets; (1^4,11,13) sums to 2n = 28
+        # (the oracle agrees: stab 30, expected 6)
+        v = decide(parse("(1^11,11,13;14)"))
+        assert v.status is Status.SPARSE and verify_certificate(v.certificate)
 
     def test_staircase_family_sparse(self):
         # (1^2, 2^2, 3^c; 3c+3) for c = 0..3

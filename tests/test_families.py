@@ -131,17 +131,6 @@ class TestClassifySize:
         with pytest.raises(ValueError):
             classify_size(6)
 
-    def test_custom_backend_consulted(self):
-        calls = []
-
-        def backend(d):
-            calls.append(d)
-            return Status.SPARSE
-
-        c = classify_size(1, backend=backend)
-        # everything sparse -> no exceptional tail; backend actually used
-        assert c.exceptional_dense == ()
-
     def test_json_and_text_render(self):
         c = classify_size(2)
         j = c.to_json_dict()

@@ -93,7 +93,7 @@ class TestStabilizerNullity:
         subspaces = tuple(
             np.vstack([np.eye(n - len(a), dtype=np.int64), np.asarray(a, dtype=np.int64)])
             for a in charts)
-        c = GenericConfiguration(n, subspaces, prime, 0)
+        c = GenericConfiguration(n, subspaces, prime)
         assert stabilizer_nullity(c) == nullity
 
     def test_two_subspaces_need_no_elimination(self):
@@ -218,9 +218,9 @@ class TestOracleDecide:
 class TestGenericConfiguration:
     def test_validates_shapes(self):
         with pytest.raises(ValueError):
-            GenericConfiguration(4, (np.zeros((3, 1), dtype=np.int64),), P, 0)
+            GenericConfiguration(4, (np.zeros((3, 1), dtype=np.int64),), P)
         with pytest.raises(ValueError):
-            GenericConfiguration(4, (np.zeros((4, 2), dtype=np.int64),), P, 0)
+            GenericConfiguration(4, (np.zeros((4, 2), dtype=np.int64),), P)
         with pytest.raises(ValueError):
-            GenericConfiguration(4, (np.array([[2], [0], [0], [1]], dtype=np.int64),), P, 0)
-        GenericConfiguration(4, (np.eye(4, 2, k=-2, dtype=np.int64),), P, 0)
+            GenericConfiguration(4, (np.array([[2], [0], [0], [1]], dtype=np.int64),), P)
+        GenericConfiguration(4, (np.eye(4, 2, k=-2, dtype=np.int64),), P)

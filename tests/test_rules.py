@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,20 @@ def _dense(d, samples=2, seed=17):
     return oracle_decide(d, samples=samples, seed=seed).is_dense
 
 
+# 6 * 5 * 4 * 3 * 3 * 2 * 2 = 4320 sub-multisets, just over 2**SUBSET_ENUM_CAP;
+# every subset rule fires on it once the cap is raised
+OVER_CAP = parse("(1^5,2^4,3^3,4^2,5^2,48,49;50)")
+
+
+@given(vectors(max_n=8, max_len=7), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_submultisets_match_combinations(d, min_size):
+    got = list(R._submultisets(d.dims, min_size))
+    want = {c for r in range(min_size, d.length + 1)
+            for c in itertools.combinations(d.dims, r)}
+    assert len(got) == len(set(got)) and set(got) == want
+
+
 class TestTriviallySparse:
     def test_fires_with_expected_dim(self):
         d = parse("1,1,1,1,2;4")
@@ -30,27 +45,16 @@ class TestTriviallySparse:
         assert next(iter(R.BASE_RULES)) == R.TRIVIALLY_SPARSE
 
 
-class TestSumDense:
-    def test_self_side(self):
-        s = R.rule_sum_dense(parse("1,1,2;4"))
-        assert s.direction == R.BASE_DENSE and s.params_dict()["side"] == "self"
-
-    def test_complement_side(self):
-        s = R.rule_sum_dense(parse("2,3,3;4"))
-        assert s.direction == R.BASE_DENSE and s.params_dict()["side"] == "complement"
-
-    def test_no_fire(self):
-        assert R.rule_sum_dense(parse("1,1,2,2;3")) is None
-
-
 class TestLength4:
     def test_dense_short(self):
         assert R.rule_length4(parse("2,3,3;4")).direction == R.BASE_DENSE
 
     def test_sparse_2n(self):
-        s = R.rule_length4(parse("1,1,2,2;3"))
-        assert s.direction == R.BASE_SPARSE
-        assert R.rule_length4(parse("6,6,7,7;13")).direction == R.BASE_SPARSE
+        # the length-4 total-2n case is SubseqTwoN's whole-vector case
+        for text in ("1,1,2,2;3", "6,6,7,7;13"):
+            d = parse(text)
+            assert R.rule_length4(d) is None
+            assert R.rule_subseq_2n(d).params_dict() == {"side": "self", "subset": d.dims}
 
     def test_length4_non_2n_dense(self):
         assert R.rule_length4(parse("1,1,2,3;4")).direction == R.BASE_DENSE
@@ -82,9 +86,10 @@ class TestSubseqTwoN:
         assert R.rule_subseq_2n(parse("2,3,3;4")) is None
         assert R.rule_subseq_2n(parse("1,1,2,3,4;6")) is None
 
-    def test_cap(self):
-        d = DimensionVector((1,) * 13 + (2, 2), 30)
-        assert R.rule_subseq_2n(d) is None
+    def test_cap(self, monkeypatch):
+        assert R.rule_subseq_2n(OVER_CAP) is None
+        monkeypatch.setattr(R, "SUBSET_ENUM_CAP", 13)
+        assert R.rule_subseq_2n(OVER_CAP) is not None
 
     @given(vectors())
     @settings(max_examples=60, deadline=None)
@@ -222,8 +227,10 @@ class TestRestrictSpan:  # L3
         got = {(s.params_dict()["kept"], str(s.outputs[0])) for s in steps}
         assert got == {((1, 2), "(1,2;3)"), ((1, 1), "(1^2;2)")}
 
-    def test_cap(self):
-        assert R.rule_restrict_to_span(DimensionVector((1,) * 13, 20)) == []
+    def test_cap(self, monkeypatch):
+        assert R.rule_restrict_to_span(OVER_CAP) == []
+        monkeypatch.setattr(R, "SUBSET_ENUM_CAP", 13)
+        assert R.rule_restrict_to_span(OVER_CAP)
 
 
 class TestComplementaryPair:  # L8
@@ -259,6 +266,11 @@ class TestIntersectionSwap:  # L10
             for s in R.rule_intersection_swap(parse(text)):
                 assert s.outputs[0] != parse(text)
 
+    def test_cap(self, monkeypatch):
+        assert R.rule_intersection_swap(OVER_CAP) == []
+        monkeypatch.setattr(R, "SUBSET_ENUM_CAP", 13)
+        assert R.rule_intersection_swap(OVER_CAP)
+
 
 class TestExcessCollapse:  # ExcessL1
     def test_example(self):
@@ -267,12 +279,18 @@ class TestExcessCollapse:  # ExcessL1
         assert steps[0].params_dict()["l"] == 1
 
     def test_no_fire_when_l_reaches_size(self):
-        assert R.rule_excess(parse("2,2,3,3;5")) == []  # l = 4 >= size 3... excess 5
-        assert R.rule_excess(parse("1,1,2;4")) == []    # excess 0
+        assert R.rule_excess(parse("2,2,3,3;5")) == []  # excess 5: l = 4 >= size 3
 
     def test_drops_all_large_entries_vacuously(self):
-        # (2,3;4): excess 1 -> l=0 -> defers to sum rule
-        assert R.rule_excess(parse("2,3;4")) == []
+        # (2,3;4): excess 1 -> l = 0, an empty profile
+        [s] = R.rule_excess(parse("2,3;4"))
+        assert s.is_vacuous and s.params_dict() == {"ambient": 1, "l": 0, "vacuous": True}
+
+    @pytest.mark.parametrize("text", ["1,1,2;4", "1;5", "1,1,1,1,1;5"])
+    def test_total_at_most_n_plus_1_is_vacuous(self, text):
+        # excess <= 1: the l = 0 step, whatever the excess below 1
+        [s] = R.rule_excess(parse(text))
+        assert s.is_vacuous and s.params_dict()["l"] == 0
 
 
 class TestIffRulesSoundness:
@@ -316,4 +334,20 @@ def test_base_rule_agrees_with_oracle_in_isolation(rule_id):
         s = R.BASE_RULES[rule_id](d)
         if s is not None and (s.direction == R.BASE_DENSE) != _sweep_dense(d):
             wrong.append(f"{d}: {s.direction}")
+    assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:3]}"
+
+
+def test_reduction_rule_agrees_with_oracle_in_isolation():
+    # every step of every reduction rule on its own: a vacuous step needs a
+    # dense input, and any other step must keep density
+    wrong = []
+    for d in enumerate_vectors(8, 9):
+        for rule in R.REDUCTION_RULES.values():
+            for s in rule(d):
+                if s.is_vacuous:
+                    ok = _sweep_dense(d)
+                else:
+                    ok = _sweep_dense(d) == _sweep_dense(s.outputs[0])
+                if not ok:
+                    wrong.append(f"{s.rule_id} {d} -> {s.outputs}")
     assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:3]}"
