@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: decide, verify, classify, enumerate, family.  Exit codes for
-decide: 0 = Dense, 1 = Sparse, 2 = Unknown, 3 = usage error.  decide results
+decide: 0 = Dense, 1 = Sparse, 2 = Unknown, 3 = error, no verdict (a usage
+error, or an internal error, whose traceback goes to stderr).  decide results
 are cached as append-only JSONL (default ~/.cache/grassdense/verdicts.jsonl,
-override with GRASSDENSE_CACHE); corrupt cache lines are skipped with a
-warning on stderr.
+override with GRASSDENSE_CACHE); cache lines that are not a readable record
+are skipped with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +26,7 @@ from .core import DimensionVector, Status, Verdict, VectorParseError, parse
 from .engine import Engine, Certificate
 from .families import classification_json, classify_size, enumerate_vectors, \
     fibonacci_family, repeat_family
-from .oracle import oracle_decide
+from .oracle import VerdictClass, oracle_decide
 from . import rules
 
 EXIT_DENSE = 0
@@ -79,7 +81,8 @@ def _oracle_json(report) -> Optional[dict]:
         return None
     return {"prime": report.prime, "primes": list(report.primes), "seed": report.seed,
             "samples": report.samples, "stab_dim": report.stab_dim,
-            "expected": report.expected, "class": report.verdict_class.value}
+            "expected": report.expected, "class": report.verdict_class.value,
+            "anomalies": list(report.anomalies)}
 
 
 def _record(d: DimensionVector, verdict: Verdict, method: str, key: dict) -> dict:
@@ -96,33 +99,39 @@ def _record(d: DimensionVector, verdict: Verdict, method: str, key: dict) -> dic
     }
 
 
-def _reason(verdict: Verdict) -> str:
-    if verdict.certificate is not None:
-        leaf = verdict.certificate.steps[-1]
-        label = RULE_LABELS.get(leaf.rule_id, leaf.rule_id)
-        bits = ", ".join(f"{k}={v}" for k, v in leaf.params)
+def _params(params: dict) -> str:
+    # tuple params come back from the cache as lists
+    return ", ".join(f"{k}={tuple(v) if isinstance(v, list) else v}" for k, v in params.items())
+
+
+def _reason(record: dict) -> str:
+    if record["trace"]:
+        leaf = record["trace"][-1]
+        label = RULE_LABELS.get(leaf["rule"], leaf["rule"])
+        bits = _params(leaf["params"])
         return f"{label}: {bits}" if bits else label
-    if verdict.oracle is not None:
-        r = verdict.oracle
-        if r.is_dense:
-            return (f"certified: stabilizer dimension {r.stab_dim} equals expected "
-                    f"{r.expected} (prime {r.prime}, seed {r.seed})")
-        return (f"monte-carlo: stabilizer dimension {r.stab_dim} > expected "
-                f"{r.expected} on {r.samples} samples")
-    return "undecided within budget"
+    r = record["oracle"]
+    if r is None:
+        return "undecided within budget"
+    if r["class"] == VerdictClass.CERTIFIED_DENSE.value:
+        return (f"certified: stabilizer dimension {r['stab_dim']} equals expected "
+                f"{r['expected']} (prime {r['prime']}, seed {r['seed']})")
+    return (f"monte-carlo: stabilizer dimension {r['stab_dim']} > expected "
+            f"{r['expected']} on {r['samples']} samples")
 
 
-def _print_trace(trace: list, out) -> None:
-    """Print the steps of a record's trace, fresh or read back from the cache
-    (where tuple params came back as lists)."""
-    for depth, s in enumerate(trace):
+def _render(record: dict, cached: bool, trace: bool) -> str:
+    """The text answer of decide: status and reason, then with trace one line
+    per step of the record's certificate."""
+    lines = [f"{Status(record['status']).name} ({_reason(record)})"
+             + (" (cached)" if cached else "")]
+    for depth, s in enumerate(record["trace"] if trace else ()):
         label = RULE_LABELS.get(s["rule"], s["rule"])
-        params = ", ".join(f"{k}={tuple(v) if isinstance(v, list) else v}"
-                           for k, v in s["params"].items())
+        params = _params(s["params"])
         arrow = " -> " + ", ".join(s["to"]) if s["to"] else ""
-        pad = "  " * depth
-        out.write(f"{pad}{s['from']}  [{label}/{s['direction']}"
-                  f"{': ' + params if params else ''}]{arrow}\n")
+        lines.append(f"{'  ' * depth}{s['from']}  [{label}/{s['direction']}"
+                     f"{': ' + params if params else ''}]{arrow}")
+    return "\n".join(lines) + "\n"
 
 
 # -- cache -------------------------------------------------------------------
@@ -139,18 +148,20 @@ def _cache_lookup(path: Path, key: dict) -> Optional[dict]:
         return None
     hit = None
     try:
-        with path.open() as fh:
+        with path.open(errors="replace") as fh:
             for i, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError:
+                    if rec.get("key") != key:
+                        continue
+                    _render(rec, cached=True, trace=True)  # raises if unreadable
+                except Exception:  # not a JSON object, or not a record
                     sys.stderr.write(f"warning: skipping corrupt cache line {i} in {path}\n")
                     continue
-                if rec.get("key") == key:
-                    hit = rec  # last write wins
+                hit = rec  # last write wins
     except OSError as exc:
         sys.stderr.write(f"warning: cache unreadable ({exc})\n")
         return None
@@ -181,43 +192,37 @@ def cmd_decide(args, parser: _Parser) -> int:
     key = {"canonical": str(d.canonical()), "oracle": args.oracle, "seed": args.seed,
            "samples": args.samples, "budget": args.budget, "version": __version__}
     cache = _cache_path()
-    record = None
-    if not args.no_cache:
-        record = _cache_lookup(cache, key)
-    if record is None:
-        engine = Engine(budget=args.budget)
-        if args.oracle == "off":
-            verdict = engine.decide(d, budget=args.budget)
-            method = "engine"
-        elif args.oracle == "auto":
+    cached = None if args.no_cache else _cache_lookup(cache, key)
+    if cached is None:
+        engine = Engine()
+        if args.oracle == "auto":
             verdict = engine.decide_with_oracle(d, budget=args.budget,
                                                 samples=args.samples, seed=args.seed)
             method = "engine" if verdict.oracle is None else "oracle"
-        else:  # force
+        else:
             verdict = engine.decide(d, budget=args.budget)
+            method = "engine"
+        if args.oracle == "force":
             report = oracle_decide(d, samples=args.samples, seed=args.seed)
-            method = "engine+oracle" if verdict.status is not Status.UNKNOWN else "oracle"
             if verdict.status is Status.UNKNOWN:
-                verdict = Verdict(Status.DENSE if report.is_dense else Status.SPARSE,
-                                  oracle=report)
+                method, status = "oracle", Status.DENSE if report.is_dense else Status.SPARSE
             else:
-                verdict = Verdict(verdict.status, certificate=verdict.certificate,
-                                  oracle=report)
+                method, status = "engine+oracle", verdict.status
+            verdict = Verdict(status, verdict.certificate, report)
+        for msg in verdict.oracle.anomalies if verdict.oracle else ():
+            sys.stderr.write(f"warning: {msg}\n")
         record = _record(d, verdict, method, key)
         if not args.no_cache:
             _cache_append(cache, record)
     else:
-        record = dict(record, timestamp=_now())
-        verdict = None
+        record = dict(cached, timestamp=_now())
 
     if args.json:
         print(json.dumps(record, sort_keys=True))
     else:
-        reason = "cached" if verdict is None else _reason(verdict)
-        print(f"{record['status'].upper()} ({reason})")
-        if args.trace:
-            _print_trace(record["trace"], sys.stdout)
-    return {"Dense": EXIT_DENSE, "Sparse": EXIT_SPARSE}.get(record["status"], EXIT_UNKNOWN)
+        sys.stdout.write(_render(record, cached is not None, args.trace))
+    status = Status(record["status"])
+    return {Status.DENSE: EXIT_DENSE, Status.SPARSE: EXIT_SPARSE}.get(status, EXIT_UNKNOWN)
 
 
 def cmd_verify(args, parser: _Parser) -> int:
@@ -337,6 +342,9 @@ def main(argv=None) -> int:
         return args.fn(args, parser)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except Exception:  # exit 1 would read as Sparse
+        traceback.print_exc()
         return EXIT_USAGE
 
 

@@ -50,13 +50,11 @@ DOMINATION_LEN_CAP = 6
 
 
 class Engine:
-    """Rule search with a memo of settled verdicts.  Options: budget (search
-    nodes per decide call, overridable per call) and use_size_table (try the
+    """Rule search with a memo of settled verdicts.  use_size_table tries the
     SizeTable base rule; families turns it off so the table never certifies
-    itself)."""
+    itself.  Each decide call searches at most budget nodes."""
 
-    def __init__(self, budget: int = 50_000, use_size_table: bool = True):
-        self.budget = budget
+    def __init__(self, use_size_table: bool = True):
         self.use_size_table = use_size_table
         self.memo: dict[DimensionVector, Verdict] = {}
         self._seed_cache: dict[int, tuple[DimensionVector, ...]] = {}
@@ -96,9 +94,8 @@ class Engine:
 
     # -- search ----------------------------------------------------------
 
-    def decide(self, d: DimensionVector, budget: Optional[int] = None) -> Verdict:
-        limit = self.budget if budget is None else budget
-        state = {"nodes": 0, "limit": limit, "exhausted": False}
+    def decide(self, d: DimensionVector, budget: int = 50_000) -> Verdict:
+        state = {"nodes": 0, "limit": budget, "exhausted": False}
         verdict = self._decide_rec(d, state, in_progress=set(), unknown={})
         self.last_nodes = state["nodes"]
         self.last_budget_exhausted = state["exhausted"]
@@ -173,7 +170,7 @@ class Engine:
 
     # -- oracle fallback ---------------------------------------------------
 
-    def decide_with_oracle(self, d: DimensionVector, budget: Optional[int] = None,
+    def decide_with_oracle(self, d: DimensionVector, budget: int = 50_000,
                            samples: int = 3, seed: int = 0) -> Verdict:
         verdict = self.decide(d, budget=budget)
         if verdict.status is not Status.UNKNOWN:
@@ -269,6 +266,6 @@ def decide(d: DimensionVector, budget: int = 50_000) -> Verdict:
     return _DEFAULT_ENGINE.decide(d, budget=budget)
 
 
-def decide_with_oracle(d: DimensionVector, budget: Optional[int] = None,
+def decide_with_oracle(d: DimensionVector, budget: int = 50_000,
                        samples: int = 3, seed: int = 0) -> Verdict:
     return _DEFAULT_ENGINE.decide_with_oracle(d, budget=budget, samples=samples, seed=seed)

@@ -51,8 +51,7 @@ system.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -60,8 +59,6 @@ import numpy as np
 
 from .core import DimensionVector
 from .linalg import bareiss_rank, is_probable_prime, mod_rank, random_prime
-
-log = logging.getLogger(__name__)
 
 # Rational mode draws the chart entries A_i from [-bound, bound].  System
 # entries have degree <= 2 in the A_i, so a nonzero r x r minor is a
@@ -111,7 +108,7 @@ class OracleReport:
     stab_dim: Optional[int]  # best (minimal) observed; None when no sample ran
     expected: int
     verdict_class: VerdictClass
-    anomalies: tuple[str, ...] = field(default=())
+    anomalies: tuple[str, ...] = ()
 
     @property
     def is_dense(self) -> bool:
@@ -196,69 +193,59 @@ def oracle_decide(
     CertifiedDense as soon as one sample's PGL-stabilizer dimension equals
     expected_stab_dim(d) >= 0; otherwise MonteCarloSparse.  Trivially sparse
     vectors short-circuit with zero samples (that verdict is deterministic).
+    A dense sample after higher ones, or Monte Carlo minima that differ by
+    prime, is listed in the report's anomalies.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if mode not in ("modular", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
     expected = d.expected_stab_dim
-    if expected < 0:
-        return OracleReport(
-            vector=d, primes=(), prime=None, seed=seed, samples=0,
-            stab_dims=(), stab_dim=None, expected=expected,
-            verdict_class=VerdictClass.MONTE_CARLO_SPARSE,
-        )
-
-    if mode == "rational":
-        prime_cycle: list[Optional[int]] = [None]
-    elif primes is not None:
-        prime_cycle = [int(p) for p in primes]
-        if not prime_cycle:
-            raise ValueError("primes must be nonempty when given")
-        bad = [p for p in prime_cycle if not (is_probable_prime(p) and p < 2**31)]
-        if bad:
-            raise ValueError(f"primes must be primes below 2^31 (int64 elimination), got {bad}")
-    else:
-        prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
-        first = random_prime(prng)
-        second = random_prime(prng)
-        while second == first:
+    prime_cycle: list[Optional[int]] = []
+    observed: list[tuple[Optional[int], int]] = []  # (prime, stab) per sample run
+    if expected >= 0:
+        if mode == "rational":
+            prime_cycle = [None]
+        elif primes is not None:
+            prime_cycle = [int(p) for p in primes]
+            if not prime_cycle:
+                raise ValueError("primes must be nonempty when given")
+            bad = [p for p in prime_cycle if not (is_probable_prime(p) and p < 2**31)]
+            if bad:
+                raise ValueError(f"primes must be primes below 2^31 (int64 elimination), got {bad}")
+        else:
+            prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
+            first = random_prime(prng)
             second = random_prime(prng)
-        prime_cycle = [first, second]
+            while second == first:
+                second = random_prime(prng)
+            prime_cycle = [first, second]
+        children = np.random.SeedSequence([seed]).spawn(samples)
+        for s in range(samples):
+            p = prime_cycle[s % len(prime_cycle)]
+            stab = stabilizer_nullity(sample_configuration(d, prime=p, seed=children[s])) - 1
+            if stab < expected:
+                raise RuntimeError(f"{d}: stabilizer dim {stab} below the dimension bound "
+                                   f"{expected}: elimination bug")
+            observed.append((p, stab))
+            if stab == expected:
+                break
 
-    root = np.random.SeedSequence([seed])
-    children = root.spawn(samples)
-    observed: list[tuple[Optional[int], int]] = []
+    dense = bool(observed) and observed[-1][1] == expected
     anomalies: list[str] = []
-    for s in range(samples):
-        p = prime_cycle[s % len(prime_cycle)]
-        cfg = sample_configuration(d, prime=p, seed=children[s])
-        stab = stabilizer_nullity(cfg) - 1
-        if stab < expected:
-            raise RuntimeError(f"{d}: stabilizer dim {stab} below the dimension bound "
-                               f"{expected}: elimination bug")
-        observed.append((p, stab))
-        if stab == expected:
-            earlier = [t for _, t in observed[:-1] if t != expected]
-            if earlier:
-                msg = (f"{d}: expected stabilizer dim {expected} reached at sample {s} "
-                       f"after samples with dims {earlier} (prime artifact?)")
-                anomalies.append(msg)
-                log.warning(msg)
-            return OracleReport(
-                vector=d, primes=tuple(prime_cycle), prime=p, seed=seed,
-                samples=s + 1, stab_dims=tuple(observed), stab_dim=stab,
-                expected=expected, verdict_class=VerdictClass.CERTIFIED_DENSE,
-                anomalies=tuple(anomalies),
-            )
-    per_prime = {p: min(t for q, t in observed if q == p) for p, _ in observed}
-    if len(set(per_prime.values())) > 1:
-        msg = f"{d}: minimal stabilizer dim differs across primes: {per_prime}"
-        anomalies.append(msg)
-        log.warning(msg)
-    best_prime, best = min(observed, key=lambda pt: pt[1])
+    if dense and len(observed) > 1:
+        anomalies.append(f"{d}: expected stabilizer dim {expected} reached at sample "
+                         f"{len(observed) - 1} after samples with dims "
+                         f"{[t for _, t in observed[:-1]]} (prime artifact?)")
+    elif not dense:
+        per_prime = {p: min(t for q, t in observed if q == p) for p, _ in observed}
+        if len(set(per_prime.values())) > 1:
+            anomalies.append(f"{d}: minimal stabilizer dim differs across primes: {per_prime}")
+    # the first minimal sample: the decisive one when dense
+    best_prime, best = min(observed, key=lambda pt: pt[1]) if observed else (None, None)
     return OracleReport(
         vector=d, primes=tuple(prime_cycle), prime=best_prime, seed=seed,
-        samples=samples, stab_dims=tuple(observed), stab_dim=best, expected=expected,
-        verdict_class=VerdictClass.MONTE_CARLO_SPARSE, anomalies=tuple(anomalies),
+        samples=len(observed), stab_dims=tuple(observed), stab_dim=best, expected=expected,
+        verdict_class=VerdictClass.CERTIFIED_DENSE if dense else VerdictClass.MONTE_CARLO_SPARSE,
+        anomalies=tuple(anomalies),
     )

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from grassdense import __version__
+from grassdense import __version__, oracle
 from grassdense.cli import (
     EXIT_DENSE, EXIT_SPARSE, EXIT_UNKNOWN, EXIT_USAGE, RULE_LABELS, main,
 )
 from grassdense import rules
+from grassdense.engine import Engine
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +97,24 @@ class TestDecide:
         assert rec["method"] == "oracle"
         assert rec["oracle"]["class"] == "CertifiedDense"
 
+    def test_anomalies_in_record_and_on_stderr(self, capsys, monkeypatch):
+        # per-prime minima 4 and 3 on a vector expecting 2
+        stabs = iter([4, 3, 5, 4])
+        monkeypatch.setattr(oracle, "stabilizer_nullity", lambda c: next(stabs) + 1)
+        code, out, err = run(capsys, "decide", "1,3,3,3;5", "--json",
+                             "--oracle", "force", "--samples", "4")
+        (anomaly,) = json.loads(out)["oracle"]["anomalies"]
+        assert code == EXIT_SPARSE and "differs across primes" in anomaly
+        assert err == f"warning: {anomaly}\n"
+
+    def test_internal_error_exit3(self, capsys, monkeypatch):
+        def boom(self, d, budget=0):
+            raise RuntimeError("engine failure")
+        monkeypatch.setattr(Engine, "decide", boom)
+        code, out, err = run(capsys, "decide", "1,2,2;5")
+        assert code == EXIT_USAGE and out == ""
+        assert "Traceback" in err and "RuntimeError: engine failure" in err
+
 
 class TestCache:
     def test_round_trip(self, capsys, isolated_cache):
@@ -140,6 +159,46 @@ class TestCache:
         code, out, err = run(capsys, "decide", "1,2,2;5")
         assert code == EXIT_DENSE
         assert "(cached)" in out
+        assert "corrupt cache line 1" in err
+
+    @pytest.mark.parametrize("argv", [("1,2,2;5",), ("1,1,1,1,5;6", "--budget", "1")])
+    def test_cached_reason_matches_fresh(self, capsys, argv):
+        _, fresh, _ = run(capsys, "decide", *argv)
+        _, cached, _ = run(capsys, "decide", *argv)
+        assert cached == fresh.rstrip("\n") + " (cached)\n"
+
+    def _recompute_despite(self, capsys, *argv):
+        """decide 1,2,2;5 must ignore the planted cache line 1 and exit Dense."""
+        code, out, err = run(capsys, "decide", "1,2,2;5", *argv)
+        assert code == EXIT_DENSE and out.startswith("DENSE")
+        assert "(cached)" not in out
+        assert "corrupt cache line 1" in err
+        return out
+
+    def _plant(self, capsys, isolated_cache, edit):
+        run(capsys, "decide", "1,2,2;5")
+        rec = json.loads(isolated_cache.read_text())
+        edit(rec)
+        isolated_cache.write_text(json.dumps(rec) + "\n")
+
+    def test_non_object_line_skipped(self, capsys, isolated_cache):
+        isolated_cache.write_text("[1]\n")
+        self._recompute_despite(capsys)
+
+    def test_record_without_status_skipped(self, capsys, isolated_cache):
+        self._plant(capsys, isolated_cache, lambda rec: rec.pop("status"))
+        self._recompute_despite(capsys)
+
+    def test_step_without_params_skipped(self, capsys, isolated_cache):
+        self._plant(capsys, isolated_cache, lambda rec: rec["trace"][0].pop("params"))
+        out = self._recompute_despite(capsys, "--trace")
+        assert len(out.splitlines()) > 1
+
+    def test_non_utf8_byte_costs_one_line(self, capsys, isolated_cache):
+        run(capsys, "decide", "1,2,2;5")
+        isolated_cache.write_bytes(b"\xff\n" + isolated_cache.read_bytes())
+        code, out, err = run(capsys, "decide", "1,2,2;5")
+        assert code == EXIT_DENSE and "(cached)" in out
         assert "corrupt cache line 1" in err
 
     def test_cached_trace_replays(self, capsys):

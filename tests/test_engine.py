@@ -158,6 +158,30 @@ class TestBalancedTripwire:
         assert decide(parse(text)).status is Status.SPARSE
 
 
+# Vectors the oracle refutes that decide calls Sparse only because SizeTable
+# fires before Balanced; the table-free engine of classify_size reaches a
+# Balanced leaf and calls them Dense.
+SIZE_TABLE_HIDES = [
+    ("(1^5,3;6)", 3, 1),
+    ("(1^4,2,3;7)", 3, 2),
+    ("(1^3,3,5^2;10)", 3, 1),
+]
+
+
+class TestSizeTableHidesBalanced:
+    @pytest.mark.parametrize("text,stab,expected", SIZE_TABLE_HIDES)
+    def test_decide_sparse_and_oracle_refutes_dense(self, text, stab, expected):
+        assert decide(parse(text)).status is Status.SPARSE
+        r = oracle_decide(parse(text), samples=2, seed=5)
+        assert r.verdict_class is VerdictClass.MONTE_CARLO_SPARSE
+        assert (r.stab_dim, r.expected) == (stab, expected)
+
+    @pytest.mark.xfail(strict=True, reason="the Balanced rule is unsound (ROADMAP item 2)")
+    @pytest.mark.parametrize("text", [text for text, _, _ in SIZE_TABLE_HIDES])
+    def test_table_free_engine_sparse(self, text):
+        assert Engine(use_size_table=False).decide(parse(text)).status is Status.SPARSE
+
+
 class TestVerifyCertificate:
     def _cert(self, text):
         return Engine().decide(parse(text)).certificate

@@ -215,6 +215,43 @@ class TestOracleDecide:
         assert m.stab_dim == q.stab_dim
 
 
+def _script_stabs(monkeypatch, stabs):
+    """Make oracle_decide see these stabilizer dimensions, in order."""
+    it = iter(stabs)
+    monkeypatch.setattr(oracle, "stabilizer_nullity", lambda c: next(it) + 1)
+
+
+class TestAnomalies:
+    def test_none_on_clean_runs(self):
+        assert oracle_decide(parse("2,2,2;4"), samples=3, seed=0).anomalies == ()
+        assert oracle_decide(parse("5,5,5,5,13;14"), samples=10, seed=7).anomalies == ()
+
+    def test_dense_after_higher_sample(self, monkeypatch):
+        d = parse("2,2,2;4")  # expected 3
+        _script_stabs(monkeypatch, [5, 3])
+        r = oracle_decide(d, samples=3, seed=0)
+        p, q = r.primes
+        assert r.is_dense and r.samples == 2 and r.stab_dims == ((p, 5), (q, 3))
+        assert (r.prime, r.stab_dim) == (q, 3)
+        assert r.anomalies == (f"{d}: expected stabilizer dim 3 reached at sample 1 after "
+                               f"samples with dims [5] (prime artifact?)",)
+
+    def test_monte_carlo_minima_differ_by_prime(self, monkeypatch):
+        d = parse("1,3,3,3;5")  # expected 2
+        _script_stabs(monkeypatch, [4, 3, 5, 4])
+        r = oracle_decide(d, samples=4, seed=0)
+        p, q = r.primes
+        assert not r.is_dense and r.samples == 4
+        assert (r.prime, r.stab_dim) == (q, 3)
+        minima = {p: 4, q: 3}
+        assert r.anomalies == (f"{d}: minimal stabilizer dim differs across primes: {minima}",)
+
+    def test_equal_minima_across_primes_clean(self, monkeypatch):
+        _script_stabs(monkeypatch, [4, 3, 3, 5])
+        r = oracle_decide(parse("1,3,3,3;5"), samples=4, seed=0)
+        assert not r.is_dense and r.stab_dim == 3 and r.anomalies == ()
+
+
 class TestGenericConfiguration:
     def test_validates_shapes(self):
         with pytest.raises(ValueError):
