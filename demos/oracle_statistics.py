@@ -5,7 +5,8 @@ For a dense vector a single random configuration almost surely attains the
 minimal stabilizer dimension n^2 - 1 - sum d_i(n - d_i), which certifies
 density by semicontinuity.  For a sparse vector every sample lands strictly
 above the bound, and the gap is itself informative.  This script tabulates
-stabilizer dimensions across seeds, primes, and the exact rational mode.
+stabilizer dimensions across seeds, primes, and exact sampling over Q
+(the prime None).
 Run:
 
     python demos/oracle_statistics.py
@@ -45,8 +46,8 @@ def main() -> None:
         print(f"  p = {p}: stab dims {dims}")
 
     # exact arithmetic agrees with the modular shortcut
-    exact = oracle_decide(parse("(1^2,2^2;3)"), samples=3, mode="rational", seed=0)
-    print(f"\nrational mode on (1^2,2^2;3): stab dim {exact.stab_dim} "
+    exact = oracle_decide(parse("(1^2,2^2;3)"), samples=3, primes=[None], seed=0)
+    print(f"\nover Q on (1^2,2^2;3): stab dim {exact.stab_dim} "
           f"({exact.verdict_class.value})")
 
 

@@ -177,6 +177,12 @@ def _cache_append(path: Path, record: dict) -> None:
         sys.stderr.write(f"warning: cache not written ({exc})\n")
 
 
+def _samples(text: str) -> int:  # --samples: checked before any work starts
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def _parse_vector(text: str, parser: _Parser) -> DimensionVector:
@@ -302,7 +308,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--json", action="store_true")
     d.add_argument("--trace", action="store_true")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--samples", type=int, default=3)
+    d.add_argument("--samples", type=_samples, default=3)
     d.add_argument("--budget", type=int, default=50_000)
     d.add_argument("--no-cache", action="store_true")
     d.set_defaults(fn=cmd_decide)
@@ -311,7 +317,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--max-n", type=int, required=True)
     v.add_argument("--max-len", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--samples", type=int, default=2)
+    v.add_argument("--samples", type=_samples, default=2)
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("classify", help="classification of dense vectors by maximal entry")

@@ -44,13 +44,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def random_prime(rng: np.random.Generator, lo: int = 2**30 + 1, hi: int = 2**31) -> int:
-    """Uniform-ish prime in [lo, hi) by rejection sampling."""
-    if hi - lo < 2:
-        raise ValueError(f"interval [{lo}, {hi}) too small to hold a prime")
+def random_prime(rng: np.random.Generator) -> int:
+    """Uniform-ish prime in (2^30, 2^31) by rejection sampling."""
     while True:
-        c = int(rng.integers(lo, hi)) | 1
-        if c < hi and is_probable_prime(c):
+        c = int(rng.integers(2**30 + 1, 2**31)) | 1
+        if is_probable_prime(c):
             return c
 
 

@@ -24,9 +24,9 @@ rank, so it is a left annihilator of U_i with no nullspace computation and
 no redraws.  The stabilizer Lie algebra is cut out of gl(n) by g U_i <= U_i,
 i.e. Q_i g U_i = 0: d_i (n - d_i) linear equations per chart subspace on the
 entries of g that no coordinate subspace forces to zero, stacked into one
-system and reduced by one rank computation, over F_p (modular mode) or over
-Q (rational mode, prime None).  The nullity is the number of kept unknowns
-minus that rank; for one or two subspaces the system is empty.  The same
+system and reduced by one rank computation, over F_p for a prime p or over
+Q for the prime None.  The nullity is the number of kept unknowns minus
+that rank; for one or two subspaces the system is empty.  The same
 builder serves any configuration: a chart subspace whose A_i is zero is a
 coordinate subspace and is handled as one, which gives the same kernel.
 
@@ -60,11 +60,11 @@ import numpy as np
 from .core import DimensionVector
 from .linalg import bareiss_rank, is_probable_prime, mod_rank, random_prime
 
-# Rational mode draws the chart entries A_i from [-bound, bound].  System
-# entries have degree <= 2 in the A_i, so a nonzero r x r minor is a
+# Over Q (prime None) the chart entries A_i are drawn from [-bound, bound].
+# System entries have degree <= 2 in the A_i, so a nonzero r x r minor is a
 # polynomial of degree <= 2r and vanishes with probability at most
-# 2r / (2 bound + 1) (Schwartz-Zippel): negligible on the small n this mode
-# is meant for.
+# 2r / (2 bound + 1) (Schwartz-Zippel): negligible on the small n exact
+# sampling is meant for.
 _RATIONAL_ENTRY_BOUND = 5000
 
 
@@ -184,39 +184,37 @@ def stabilizer_nullity(c: GenericConfiguration) -> int:
 def oracle_decide(
     d: DimensionVector,
     samples: int = 3,
-    primes: Optional[Sequence[int]] = None,
-    mode: str = "modular",
+    primes: Optional[Sequence[Optional[int]]] = None,
     seed: int = 0,
 ) -> OracleReport:
     """Sample stabilizer dimensions and classify.
 
+    primes is the cycle of fields the samples use in turn: a prime p below
+    2^31 (so residue products stay exact in int64) samples over F_p, None
+    samples over Q.  By default two random primes are drawn from seed.
     CertifiedDense as soon as one sample's PGL-stabilizer dimension equals
     expected_stab_dim(d) >= 0; otherwise MonteCarloSparse.  Trivially sparse
-    vectors short-circuit with zero samples (that verdict is deterministic).
-    A dense sample after higher ones, or Monte Carlo minima that differ by
-    prime, is listed in the report's anomalies.
+    vectors short-circuit with zero samples (that verdict is deterministic),
+    after the arguments are checked.  A dense sample after higher ones, or
+    Monte Carlo minima that differ by prime, is listed in the report's
+    anomalies.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if mode not in ("modular", "rational"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if primes is not None:
+        primes = [None if p is None else int(p) for p in primes]
+        if not primes or any(p is not None and not (is_probable_prime(p) and p < 2**31)
+                             for p in primes):
+            raise ValueError(f"primes must be a nonempty list of None or primes below 2^31 "
+                             f"(int64 elimination), got {primes}")
     expected = d.expected_stab_dim
     prime_cycle: list[Optional[int]] = []
     observed: list[tuple[Optional[int], int]] = []  # (prime, stab) per sample run
     if expected >= 0:
-        if mode == "rational":
-            prime_cycle = [None]
-        elif primes is not None:
-            prime_cycle = [int(p) for p in primes]
-            if not prime_cycle:
-                raise ValueError("primes must be nonempty when given")
-            bad = [p for p in prime_cycle if not (is_probable_prime(p) and p < 2**31)]
-            if bad:
-                raise ValueError(f"primes must be primes below 2^31 (int64 elimination), got {bad}")
-        else:
+        prime_cycle = primes
+        if prime_cycle is None:
             prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
-            first = random_prime(prng)
-            second = random_prime(prng)
+            first, second = random_prime(prng), random_prime(prng)
             while second == first:
                 second = random_prime(prng)
             prime_cycle = [first, second]

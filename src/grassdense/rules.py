@@ -50,8 +50,8 @@ BASE_DENSE = "BaseDense"
 BASE_SPARSE = "BaseSparse"
 
 # Subset enumeration is exhaustive up to 2**SUBSET_ENUM_CAP sub-multisets
-# (the count for 12 distinct entries); vectors with more make the subset
-# rules return nothing (the engine reports Unknown rather than hanging).
+# (the count for 12 distinct entries); with more, _submultisets yields none
+# and the subset rules return nothing (Unknown rather than hanging).
 SUBSET_ENUM_CAP = 12
 
 
@@ -89,17 +89,15 @@ def _try_normalize(entries, ambient) -> Optional[DimensionVector]:
 
 def _submultisets(dims: tuple[int, ...], min_size: int = 1) -> Iterator[tuple[int, ...]]:
     """All distinct sub-multisets with at least min_size entries, as sorted
-    tuples, in a deterministic order (not sorted by size)."""
-    blocks = [[(v,) * t for t in range(m + 1)] for v, m in sorted(Counter(dims).items())]
+    tuples, in a deterministic order (not by size); none past the cap."""
+    counts = sorted(Counter(dims).items())
+    if math.prod(m + 1 for _, m in counts) > 2**SUBSET_ENUM_CAP:
+        return
+    blocks = [[(v,) * t for t in range(m + 1)] for v, m in counts]
     for parts in itertools.product(*blocks):
         sub = sum(parts, ())
         if len(sub) >= min_size:
             yield sub
-
-
-def _too_many_subsets(d: DimensionVector) -> bool:
-    """More than 2**SUBSET_ENUM_CAP sub-multisets (prod of multiplicity + 1)."""
-    return math.prod(m + 1 for m in d.multiplicities().values()) > 2**SUBSET_ENUM_CAP
 
 
 def _remove(dims: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int, ...]:
@@ -150,8 +148,6 @@ def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
     Three-entry subsets are NOT sufficient ((2,3,3;4) sums to 2n yet is
     dense), hence the >= 4 guard.
     """
-    if _too_many_subsets(d):
-        return None
     target = 2 * d.ambient
     for side, v in (("self", d), ("complement", d.complement())):
         if v.total < target:
@@ -321,8 +317,6 @@ def rule_restrict_to_span(d: DimensionVector) -> list[RewriteStep]:
     with sum(A) = n - k < n and sum(n - b for b in B) <= n - k; inside the
     span of the A-subspaces (generically of dimension n - k) the B-subspaces
     cut out subspaces of dimension b - k.  Density transfers both ways."""
-    if _too_many_subsets(d):
-        return []
     n = d.ambient
     steps = []
     for sub in _submultisets(d.dims):
@@ -393,8 +387,6 @@ def rule_intersection_swap(d: DimensionVector) -> list[RewriteStep]:
     sum(S) = (k-1) n gets every selected entry a replaced by n - a, ambient
     unchanged.  Density transfers both ways.  (k = 2 would be the identity.)
     """
-    if _too_many_subsets(d):
-        return []
     n = d.ambient
     steps = []
     for sub in _submultisets(d.dims, min_size=3):

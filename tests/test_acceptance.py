@@ -320,7 +320,7 @@ def test_criterion_08_oracle_soundness_properties():
             violations.append(f"{v}: stab below {floor}")
         if rep.samples and rep.stab_dim < floor:
             violations.append(f"{v}: min stab below {floor}")
-        rational = oracle_decide(v, samples=2, mode="rational", seed=seed)
+        rational = oracle_decide(v, samples=2, primes=[None], seed=seed)
         if rational.is_dense != rep.is_dense:
             violations.append(f"{v}: modular/rational disagree")
         if rep.verdict_class is VerdictClass.CERTIFIED_DENSE:

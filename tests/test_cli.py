@@ -107,6 +107,15 @@ class TestDecide:
         assert code == EXIT_SPARSE and "differs across primes" in anomaly
         assert err == f"warning: {anomaly}\n"
 
+    @pytest.mark.parametrize("argv", [("decide", "1,2,2;5"),
+                                      ("decide", "1,1,1,1,5;6", "--budget", "1"),
+                                      ("verify", "--max-n", "3")])
+    def test_samples_below_one_exit3(self, capsys, isolated_cache, argv):
+        for bad in ("0", "-1"):
+            code, out, err = run(capsys, *argv, "--samples", bad)
+            assert code == EXIT_USAGE and out == "" and "--samples" in err
+        assert not isolated_cache.exists()
+
     def test_internal_error_exit3(self, capsys, monkeypatch):
         def boom(self, d, budget=0):
             raise RuntimeError("engine failure")

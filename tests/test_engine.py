@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from grassdense.engine import (
     Certificate, Engine, MalformedCertificateError, decide, decide_with_oracle,
     verify_certificate,
 )
+from grassdense.families import enumerate_vectors
 from grassdense.oracle import VerdictClass, oracle_decide
 from grassdense import rules as R
 
@@ -124,6 +126,17 @@ class TestDecideWithOracle:
     def test_no_oracle_when_engine_decides(self):
         v = decide_with_oracle(parse("1,1,2,2;3"))
         assert v.status is Status.SPARSE and v.oracle is None
+
+
+def test_history_independent():
+    # a warm engine's memo must not change a status a fresh engine reaches
+    vecs = [v for v in enumerate_vectors(7, 6)
+            if v == v.canonical() and not v.is_trivially_sparse]
+    assert len(vecs) == 439
+    random.Random(3).shuffle(vecs)
+    warm = Engine()
+    diffs = [str(v) for v in vecs if warm.decide(v).status is not Engine().decide(v).status]
+    assert diffs == []
 
 
 class TestEngineFlags:

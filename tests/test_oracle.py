@@ -182,7 +182,7 @@ class TestOracleDecide:
     def test_rational_agrees_with_modular(self):
         for s in ("2,2,2;4", "1,1,2,2;3", "1,2,2;5"):
             m = oracle_decide(parse(s), samples=2, seed=9)
-            q = oracle_decide(parse(s), samples=2, seed=9, mode="rational")
+            q = oracle_decide(parse(s), samples=2, seed=9, primes=[None])
             assert m.is_dense == q.is_dense
             assert m.stab_dim == q.stab_dim
 
@@ -190,15 +190,24 @@ class TestOracleDecide:
         r = oracle_decide(parse("2,2,2;4"), samples=2, seed=0, primes=[P])
         assert r.primes == (P,) and r.prime == P
 
+    def test_mixed_cycle(self):
+        r = oracle_decide(parse("1,3,3,3;5"), samples=4, seed=1, primes=[P, None])
+        assert r.primes == (P, None) and not r.is_dense
+        assert [p for p, _ in r.stab_dims] == [P, None, P, None]
+        t = oracle_decide(parse("1,1,1,1,2;4"), primes=[None])
+        assert t.primes == () and t.samples == 0
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             oracle_decide(parse("1,2;4"), samples=0)
-        with pytest.raises(ValueError):
-            oracle_decide(parse("1,2;4"), mode="symbolic")
         # 2^61 - 1 is prime but overflows int64 elimination; 1 and 9 are not prime
-        for primes in ([2**61 - 1], [1], [9], [P, 2**61 - 1]):
+        for primes in ([2**61 - 1], [1], [9], [P, 2**61 - 1], [None, 9], []):
             with pytest.raises(ValueError, match="primes"):
                 oracle_decide(parse("1,1,2,2;3"), primes=primes)
+        # checked before the trivially-sparse short-circuit
+        for primes in ([9], []):
+            with pytest.raises(ValueError, match="primes"):
+                oracle_decide(parse("1,1,1,1,2;4"), primes=primes)
 
     @given(small_vectors())
     @settings(max_examples=40, deadline=None)
@@ -211,7 +220,7 @@ class TestOracleDecide:
     @settings(max_examples=15, deadline=None)
     def test_modular_matches_rational(self, d):
         m = oracle_decide(d, samples=1, seed=4)
-        q = oracle_decide(d, samples=1, seed=4, mode="rational")
+        q = oracle_decide(d, samples=1, seed=4, primes=[None])
         assert m.stab_dim == q.stab_dim
 
 
