@@ -1,11 +1,14 @@
 """Command-line interface.
 
-Subcommands: decide, verify, classify, enumerate, family.  Exit codes for
-decide: 0 = Dense, 1 = Sparse, 2 = Unknown, 3 = error, no verdict (a usage
-error, or an internal error, whose traceback goes to stderr).  decide results
-are cached as append-only JSONL (default ~/.cache/grassdense/verdicts.jsonl,
-override with GRASSDENSE_CACHE); cache lines that are not a readable record
-are skipped with a warning on stderr.
+Subcommands: decide, verify, classify, enumerate, family.  decide answers
+every vector with one verdict, Dense or Sparse, that carries one kind of
+evidence: an engine certificate, or an oracle report when the engine cannot
+settle the vector (verify is where engine coverage is inspected).  Exit codes
+for decide: 0 = Dense, 1 = Sparse, 3 = error, no verdict (a usage error, or an
+internal error, whose traceback goes to stderr).  decide results are cached as
+append-only JSONL (default ~/.cache/grassdense/verdicts.jsonl, override with
+GRASSDENSE_CACHE), keyed by canonical form, seed, samples and version; cache
+lines that are not a readable record are skipped with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from . import rules
 
 EXIT_DENSE = 0
 EXIT_SPARSE = 1
-EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 # human-readable labels for rule ids (printed by --trace and --help)
@@ -85,11 +87,11 @@ def _oracle_json(report) -> Optional[dict]:
             "anomalies": list(report.anomalies)}
 
 
-def _record(d: DimensionVector, verdict: Verdict, method: str, key: dict) -> dict:
+def _record(d: DimensionVector, verdict: Verdict, key: dict) -> dict:
     return {
         "vector": _vec_json(d),
         "status": verdict.status.value,
-        "method": method,
+        "method": "engine" if verdict.oracle is None else "oracle",
         "trivially_sparse": verdict.status is Status.SPARSE and d.is_trivially_sparse,
         "trace": _trace_json(verdict.certificate),
         "oracle": _oracle_json(verdict.oracle),
@@ -111,8 +113,6 @@ def _reason(record: dict) -> str:
         bits = _params(leaf["params"])
         return f"{label}: {bits}" if bits else label
     r = record["oracle"]
-    if r is None:
-        return "undecided within budget"
     if r["class"] == VerdictClass.CERTIFIED_DENSE.value:
         return (f"certified: stabilizer dimension {r['stab_dim']} equals expected "
                 f"{r['expected']} (prime {r['prime']}, seed {r['seed']})")
@@ -177,10 +177,18 @@ def _cache_append(path: Path, record: dict) -> None:
         sys.stderr.write(f"warning: cache not written ({exc})\n")
 
 
-def _samples(text: str) -> int:  # --samples: checked before any work starts
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+def _at_least(low: int, text: str) -> int:  # checked before any work starts
+    if int(text) < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
     return int(text)
+
+
+def _samples(text: str) -> int:
+    return _at_least(1, text)
+
+
+def _seed(text: str) -> int:
+    return _at_least(0, text)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -195,29 +203,15 @@ def _parse_vector(text: str, parser: _Parser) -> DimensionVector:
 def cmd_decide(args, parser: _Parser) -> int:
     d = _parse_vector(args.vector, parser)
     # the version keeps verdicts cached under one rule set from the next
-    key = {"canonical": str(d.canonical()), "oracle": args.oracle, "seed": args.seed,
-           "samples": args.samples, "budget": args.budget, "version": __version__}
+    key = {"canonical": str(d.canonical()), "seed": args.seed, "samples": args.samples,
+           "version": __version__}
     cache = _cache_path()
     cached = None if args.no_cache else _cache_lookup(cache, key)
     if cached is None:
-        engine = Engine()
-        if args.oracle == "auto":
-            verdict = engine.decide_with_oracle(d, budget=args.budget,
-                                                samples=args.samples, seed=args.seed)
-            method = "engine" if verdict.oracle is None else "oracle"
-        else:
-            verdict = engine.decide(d, budget=args.budget)
-            method = "engine"
-        if args.oracle == "force":
-            report = oracle_decide(d, samples=args.samples, seed=args.seed)
-            if verdict.status is Status.UNKNOWN:
-                method, status = "oracle", Status.DENSE if report.is_dense else Status.SPARSE
-            else:
-                method, status = "engine+oracle", verdict.status
-            verdict = Verdict(status, verdict.certificate, report)
+        verdict = Engine().decide_with_oracle(d, samples=args.samples, seed=args.seed)
         for msg in verdict.oracle.anomalies if verdict.oracle else ():
             sys.stderr.write(f"warning: {msg}\n")
-        record = _record(d, verdict, method, key)
+        record = _record(d, verdict, key)
         if not args.no_cache:
             _cache_append(cache, record)
     else:
@@ -227,8 +221,7 @@ def cmd_decide(args, parser: _Parser) -> int:
         print(json.dumps(record, sort_keys=True))
     else:
         sys.stdout.write(_render(record, cached is not None, args.trace))
-    status = Status(record["status"])
-    return {Status.DENSE: EXIT_DENSE, Status.SPARSE: EXIT_SPARSE}.get(status, EXIT_UNKNOWN)
+    return {Status.DENSE: EXIT_DENSE, Status.SPARSE: EXIT_SPARSE}[Status(record["status"])]
 
 
 def cmd_verify(args, parser: _Parser) -> int:
@@ -304,19 +297,17 @@ def _build_parser() -> _Parser:
 
     d = sub.add_parser("decide", help="decide one vector, e.g. \"1,2,2;5\" or \"(1^2,2;5)\"")
     d.add_argument("vector")
-    d.add_argument("--oracle", choices=("off", "auto", "force"), default="auto")
     d.add_argument("--json", action="store_true")
     d.add_argument("--trace", action="store_true")
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_seed, default=0)
     d.add_argument("--samples", type=_samples, default=3)
-    d.add_argument("--budget", type=int, default=50_000)
     d.add_argument("--no-cache", action="store_true")
     d.set_defaults(fn=cmd_decide)
 
     v = sub.add_parser("verify", help="sweep engine against the sampling oracle")
     v.add_argument("--max-n", type=int, required=True)
     v.add_argument("--max-len", type=int, default=None)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--samples", type=_samples, default=2)
     v.set_defaults(fn=cmd_verify)
 

@@ -172,6 +172,9 @@ class Engine:
 
     def decide_with_oracle(self, d: DimensionVector, budget: int = 50_000,
                            samples: int = 3, seed: int = 0) -> Verdict:
+        """Dense or Sparse, never Unknown: the engine's verdict with its
+        certificate, or, when the engine cannot settle d within budget, the
+        oracle's verdict with its report (oracle_decide(d, samples, seed))."""
         verdict = self.decide(d, budget=budget)
         if verdict.status is not Status.UNKNOWN:
             return verdict

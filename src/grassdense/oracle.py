@@ -191,16 +191,18 @@ def oracle_decide(
 
     primes is the cycle of fields the samples use in turn: a prime p below
     2^31 (so residue products stay exact in int64) samples over F_p, None
-    samples over Q.  By default two random primes are drawn from seed.
-    CertifiedDense as soon as one sample's PGL-stabilizer dimension equals
-    expected_stab_dim(d) >= 0; otherwise MonteCarloSparse.  Trivially sparse
-    vectors short-circuit with zero samples (that verdict is deterministic),
-    after the arguments are checked.  A dense sample after higher ones, or
-    Monte Carlo minima that differ by prime, is listed in the report's
-    anomalies.
+    samples over Q.  By default two random primes are drawn from seed, which
+    must be a non-negative int.  CertifiedDense as soon as one sample's
+    PGL-stabilizer dimension equals expected_stab_dim(d) >= 0; otherwise
+    MonteCarloSparse.  Trivially sparse vectors short-circuit with zero
+    samples (that verdict is deterministic), after the arguments are checked.
+    A dense sample after higher ones, or Monte Carlo minima that differ by
+    prime, is listed in the report's anomalies.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     if primes is not None:
         primes = [None if p is None else int(p) for p in primes]
         if not primes or any(p is not None and not (is_probable_prime(p) and p < 2**31)

@@ -3,11 +3,13 @@ import json
 import pytest
 
 from grassdense import __version__, oracle
-from grassdense.cli import (
-    EXIT_DENSE, EXIT_SPARSE, EXIT_UNKNOWN, EXIT_USAGE, RULE_LABELS, main,
-)
+from grassdense.cli import EXIT_DENSE, EXIT_SPARSE, EXIT_USAGE, RULE_LABELS, main
 from grassdense import rules
+from grassdense.core import Status, Verdict, parse
 from grassdense.engine import Engine
+
+# an engine-dense vector that the engine_gives_up fixture sends to the oracle
+ORACLE_BOUND = "1,1,1,1,5;6"
 
 
 @pytest.fixture(autouse=True)
@@ -15,6 +17,19 @@ def isolated_cache(tmp_path, monkeypatch):
     path = tmp_path / "verdicts.jsonl"
     monkeypatch.setenv("GRASSDENSE_CACHE", str(path))
     return path
+
+
+@pytest.fixture
+def engine_gives_up(monkeypatch):
+    """Engine.decide answers Unknown on ORACLE_BOUND, as if out of budget,
+    so decide settles it by the oracle; other vectors are decided as usual."""
+    real = Engine.decide
+
+    def decide(self, d, budget=50_000):
+        if d.canonical() == parse(ORACLE_BOUND).canonical():
+            return Verdict(Status.UNKNOWN)
+        return real(self, d, budget)
+    monkeypatch.setattr(Engine, "decide", decide)
 
 
 def run(capsys, *argv):
@@ -36,12 +51,6 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", "1,1,2,2;3")
         assert code == EXIT_SPARSE
         assert out.startswith("SPARSE")
-
-    def test_unknown_exit2(self, capsys):
-        code, out, _ = run(capsys, "decide", "1,1,1,1,5;6",
-                           "--budget", "1", "--oracle", "off")
-        assert code == EXIT_UNKNOWN
-        assert out.startswith("UNKNOWN")
 
     def test_exponent_syntax_accepted(self, capsys):
         code, out, _ = run(capsys, "decide", "(1^2,2;5)")
@@ -65,11 +74,29 @@ class TestDecide:
         for step in rec["trace"]:
             assert set(step) == {"rule", "direction", "params", "from", "to"}
 
-    def test_json_trivially_sparse(self, capsys):
+    def test_json_trivially_sparse(self, capsys, monkeypatch):
         # computed from the vector, for engine and oracle verdicts alike
-        for oracle in ("off", "force"):
-            code, out, _ = run(capsys, "decide", "1,1,1,1,2;4", "--json", "--oracle", oracle)
-            assert code == EXIT_SPARSE and json.loads(out)["trivially_sparse"] is True
+        code, out, _ = run(capsys, "decide", "1,1,1,1,2;4", "--json", "--no-cache")
+        assert code == EXIT_SPARSE and json.loads(out)["method"] == "engine"
+        assert json.loads(out)["trivially_sparse"] is True
+        monkeypatch.setattr(Engine, "decide", lambda self, d, budget=0: Verdict(Status.UNKNOWN))
+        code, out, _ = run(capsys, "decide", "1,1,1,1,2;4", "--json", "--no-cache")
+        assert code == EXIT_SPARSE and json.loads(out)["method"] == "oracle"
+        assert json.loads(out)["trivially_sparse"] is True
+
+    @pytest.mark.parametrize("vector, status", [("1,2,2;5", "Dense"), ("1,1,2,2;3", "Sparse"),
+                                                ("1,1,1,1,2;4", "Sparse"),
+                                                (ORACLE_BOUND, "Dense")])
+    def test_json_one_verdict(self, capsys, engine_gives_up, vector, status):
+        code, out, _ = run(capsys, "decide", vector, "--json")
+        rec = json.loads(out)
+        assert rec["status"] == status
+        assert code == {"Dense": EXIT_DENSE, "Sparse": EXIT_SPARSE}[status]
+        # exactly one kind of evidence, named by the method
+        assert bool(rec["trace"]) != (rec["oracle"] is not None)
+        assert rec["method"] == ("engine" if rec["trace"] else "oracle")
+        assert rec["method"] == ("oracle" if vector == ORACLE_BOUND else "engine")
+        assert set(rec["key"]) == {"canonical", "seed", "samples", "version"}
 
     def test_trace_uses_labels_not_ids(self, capsys):
         _, out, _ = run(capsys, "decide", "1,2,2;5", "--trace")
@@ -80,18 +107,8 @@ class TestDecide:
     def test_every_rule_has_a_label(self):
         assert set(RULE_LABELS) == rules.RULE_IDS
 
-    def test_oracle_force_attaches_report(self, capsys):
-        code, out, _ = run(capsys, "decide", "1,2,2;5", "--json",
-                           "--oracle", "force", "--samples", "2")
-        rec = json.loads(out)
-        assert code == EXIT_DENSE
-        assert rec["method"] == "engine+oracle"
-        assert rec["oracle"]["class"] == "CertifiedDense"
-        assert rec["oracle"]["stab_dim"] == rec["oracle"]["expected"] == 8
-
-    def test_oracle_auto_resolves_unknown(self, capsys):
-        code, out, _ = run(capsys, "decide", "1,1,1,1,5;6",
-                           "--budget", "1", "--json")
+    def test_oracle_auto_resolves_unknown(self, capsys, engine_gives_up):
+        code, out, _ = run(capsys, "decide", ORACLE_BOUND, "--json")
         rec = json.loads(out)
         assert code == EXIT_DENSE
         assert rec["method"] == "oracle"
@@ -101,19 +118,20 @@ class TestDecide:
         # per-prime minima 4 and 3 on a vector expecting 2
         stabs = iter([4, 3, 5, 4])
         monkeypatch.setattr(oracle, "stabilizer_nullity", lambda c: next(stabs) + 1)
-        code, out, err = run(capsys, "decide", "1,3,3,3;5", "--json",
-                             "--oracle", "force", "--samples", "4")
+        monkeypatch.setattr(Engine, "decide", lambda self, d, budget=0: Verdict(Status.UNKNOWN))
+        code, out, err = run(capsys, "decide", "1,3,3,3;5", "--json", "--samples", "4")
         (anomaly,) = json.loads(out)["oracle"]["anomalies"]
         assert code == EXIT_SPARSE and "differs across primes" in anomaly
         assert err == f"warning: {anomaly}\n"
 
     @pytest.mark.parametrize("argv", [("decide", "1,2,2;5"),
-                                      ("decide", "1,1,1,1,5;6", "--budget", "1"),
+                                      ("decide", ORACLE_BOUND),
                                       ("verify", "--max-n", "3")])
-    def test_samples_below_one_exit3(self, capsys, isolated_cache, argv):
-        for bad in ("0", "-1"):
-            code, out, err = run(capsys, *argv, "--samples", bad)
-            assert code == EXIT_USAGE and out == "" and "--samples" in err
+    def test_samples_below_one_exit3(self, capsys, isolated_cache, engine_gives_up, argv):
+        # a negative --seed too: both are checked before any work, whatever the vector
+        for flag, bad in (("--samples", "0"), ("--samples", "-1"), ("--seed", "-1")):
+            code, out, err = run(capsys, *argv, flag, bad)
+            assert code == EXIT_USAGE and out == "" and flag in err
         assert not isolated_cache.exists()
 
     def test_internal_error_exit3(self, capsys, monkeypatch):
@@ -132,21 +150,23 @@ class TestCache:
         code, out, _ = run(capsys, "decide", "2,2,1;5")  # same canonical form
         assert code == EXIT_DENSE
         assert "(cached)" in out
-        # one appended record, keyed by canonical form + decision knobs
+        # one appended record, keyed by canonical form + oracle knobs
         lines = isolated_cache.read_text().splitlines()
         assert len(lines) == 1
         key = json.loads(lines[0])["key"]
-        assert key == {"canonical": "(1,2^2;5)", "oracle": "auto", "seed": 0,
-                       "samples": 3, "budget": 50000, "version": __version__}
+        assert key == {"canonical": "(1,2^2;5)", "seed": 0, "samples": 3,
+                       "version": __version__}
 
     def test_unversioned_record_not_served(self, capsys, isolated_cache):
-        # a record written before the key carried a version, with a wrong verdict
+        # records written before the key carried a version, and before it
+        # lost the oracle and budget knobs, each with a wrong verdict
         planted = {"vector": {"dims": [1, 1, 2, 2], "n": 3}, "status": "Dense",
                    "method": "engine", "trivially_sparse": False, "trace": [],
                    "oracle": None, "version": __version__,
                    "key": {"canonical": "(1^2,2^2;3)", "oracle": "auto", "seed": 0,
                            "samples": 3, "budget": 50000}}
-        isolated_cache.write_text(json.dumps(planted) + "\n")
+        old_shape = dict(planted, key=dict(planted["key"], version=__version__))
+        isolated_cache.write_text(json.dumps(planted) + "\n" + json.dumps(old_shape) + "\n")
         code, out, _ = run(capsys, "decide", "1,1,2,2;3")
         assert code == EXIT_SPARSE
         assert out.startswith("SPARSE") and "(cached)" not in out
@@ -170,8 +190,8 @@ class TestCache:
         assert "(cached)" in out
         assert "corrupt cache line 1" in err
 
-    @pytest.mark.parametrize("argv", [("1,2,2;5",), ("1,1,1,1,5;6", "--budget", "1")])
-    def test_cached_reason_matches_fresh(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [("1,2,2;5",), (ORACLE_BOUND,)])
+    def test_cached_reason_matches_fresh(self, capsys, engine_gives_up, argv):
         _, fresh, _ = run(capsys, "decide", *argv)
         _, cached, _ = run(capsys, "decide", *argv)
         assert cached == fresh.rstrip("\n") + " (cached)\n"
@@ -266,8 +286,12 @@ class TestOtherCommands:
     def test_missing_subcommand_exit3(self, capsys):
         assert run(capsys, )[0] == EXIT_USAGE
 
-    def test_unknown_flag_exit3(self, capsys):
-        assert run(capsys, "decide", "1;2", "--bogus")[0] == EXIT_USAGE
+    def test_unknown_flag_exit3(self, capsys, isolated_cache):
+        # --oracle and --budget are gone, not ignored
+        for flag in (("--bogus",), ("--oracle", "off"), ("--budget", "5")):
+            code, out, err = run(capsys, "decide", "1;2", *flag)
+            assert code == EXIT_USAGE and out == "" and "unrecognized" in err
+        assert not isolated_cache.exists()
 
 
 def test_console_script_installed():

@@ -208,6 +208,11 @@ class TestOracleDecide:
         for primes in ([9], []):
             with pytest.raises(ValueError, match="primes"):
                 oracle_decide(parse("1,1,1,1,2;4"), primes=primes)
+        # a seed must be a non-negative int, whether or not the vector is sampled
+        for text in ("1,1,1,1,2;4", "1,2,2;5"):
+            for seed in (-1, 1.5):
+                with pytest.raises(ValueError, match="seed"):
+                    oracle_decide(parse(text), seed=seed)
 
     @given(small_vectors())
     @settings(max_examples=40, deadline=None)
