@@ -10,7 +10,7 @@ hand-rolled mutations and shows each one being rejected.  Run:
 import dataclasses
 
 from grassdense import (
-    MalformedCertificateError, Status, decide, parse, verify_certificate,
+    Engine, MalformedCertificateError, Status, parse, verify_certificate,
 )
 
 
@@ -31,7 +31,7 @@ def audit(tag: str, cert) -> None:
 
 
 def main() -> None:
-    cert = decide(parse("(1^2,3^2,4;5)")).certificate
+    cert = Engine().decide(parse("(1^2,3^2,4;5)")).certificate
     show(cert)
     print()
     print("audits:")

@@ -13,10 +13,11 @@ the search agree vector-by-vector.  Run:
 import argparse
 import itertools
 
-from grassdense import DimensionVector, Status, classify_size, decide
+from grassdense import DimensionVector, Engine, Status, classify_size
 
 
 def sweep_size2(table) -> None:
+    engine = Engine()
     total = 0
     for n in range(2, 13):
         for k in range(1, n + 4):
@@ -25,7 +26,7 @@ def sweep_size2(table) -> None:
                     continue
                 v = DimensionVector(dims, n)
                 total += 1
-                assert table.is_dense(v) == (decide(v).status is Status.DENSE), v
+                assert table.is_dense(v) == (engine.decide(v).status is Status.DENSE), v
     print(f"size-2 sweep: closed form == engine on all {total} vectors, n <= 12")
 
 

@@ -7,7 +7,7 @@ with the closing rule, and shows one full reduction trace.  Run:
     python demos/walkthrough.py
 """
 
-from grassdense import DimensionVector, Status, decide, parse
+from grassdense import Engine, parse
 
 SHOWCASE = [
     "(1^2,2^2;3)",    # four lines in P^2: dimension count is tight but fails
@@ -22,6 +22,7 @@ SHOWCASE = [
 
 
 def main() -> None:
+    decide = Engine().decide  # one engine, so later calls reuse its memo
     for text in SHOWCASE:
         d = parse(text)
         verdict = decide(d)

@@ -5,7 +5,8 @@ diagonal PGL_n action on the product of Grassmannians Gr(d_i, n) either has
 a dense orbit ("dense") or it does not ("sparse").  This package decides
 density by a certificate-producing rewrite engine, cross-checked by a
 randomized linear-algebra oracle that measures the stabilizer dimension of
-explicit generic configurations.
+explicit generic configurations.  The engine has no process-wide instance:
+a caller holds an Engine, e.g. Engine().decide(d), and its memo with it.
 """
 
 __version__ = "0.3.0"
@@ -26,8 +27,6 @@ from .engine import (
     Certificate,
     Engine,
     MalformedCertificateError,
-    decide,
-    decide_with_oracle,
     verify_certificate,
 )
 from .oracle import (
@@ -52,8 +51,7 @@ __all__ = [
     "FamilyRule", "GenericConfiguration", "MalformedCertificateError",
     "MalformedVectorError", "OracleReport", "RewriteStep", "SizeClassification",
     "Status", "VacuousVectorError", "VectorParseError", "Verdict", "VerdictClass",
-    "__version__", "classify_size", "decide", "decide_with_oracle",
-    "enumerate_vectors", "fibonacci_family", "normalize", "oracle_decide",
-    "parse", "repeat_family", "sample_configuration", "stabilizer_nullity",
-    "verify_certificate",
+    "__version__", "classify_size", "enumerate_vectors", "fibonacci_family",
+    "normalize", "oracle_decide", "parse", "repeat_family", "sample_configuration",
+    "stabilizer_nullity", "verify_certificate",
 ]

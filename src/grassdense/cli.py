@@ -7,8 +7,10 @@ settle the vector (verify is where engine coverage is inspected).  Exit codes
 for decide: 0 = Dense, 1 = Sparse, 3 = error, no verdict (a usage error, or an
 internal error, whose traceback goes to stderr).  decide results are cached as
 append-only JSONL (default ~/.cache/grassdense/verdicts.jsonl, override with
-GRASSDENSE_CACHE), keyed by canonical form, seed, samples and version; cache
-lines that are not a readable record are skipped with a warning on stderr.
+GRASSDENSE_CACHE), keyed by canonical form, seed, samples and version, and
+served only to the vector the record answered (a vector and its complement
+share a key, not a certificate); cache lines that are not a readable record
+are skipped with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -143,7 +145,8 @@ def _cache_path() -> Path:
     return Path.home() / ".cache" / "grassdense" / "verdicts.jsonl"
 
 
-def _cache_lookup(path: Path, key: dict) -> Optional[dict]:
+def _cache_lookup(path: Path, want: tuple) -> Optional[dict]:
+    """The last readable record whose (key, vector) is want."""
     if not path.exists():
         return None
     hit = None
@@ -155,7 +158,7 @@ def _cache_lookup(path: Path, key: dict) -> Optional[dict]:
                     continue
                 try:
                     rec = json.loads(line)
-                    if rec.get("key") != key:
+                    if (rec.get("key"), rec.get("vector")) != want:
                         continue
                     _render(rec, cached=True, trace=True)  # raises if unreadable
                 except Exception:  # not a JSON object, or not a record
@@ -206,7 +209,8 @@ def cmd_decide(args, parser: _Parser) -> int:
     key = {"canonical": str(d.canonical()), "seed": args.seed, "samples": args.samples,
            "version": __version__}
     cache = _cache_path()
-    cached = None if args.no_cache else _cache_lookup(cache, key)
+    want = (key, _vec_json(d))  # the key is shared with the complement
+    cached = None if args.no_cache else _cache_lookup(cache, want)
     if cached is None:
         verdict = Engine().decide_with_oracle(d, samples=args.samples, seed=args.seed)
         for msg in verdict.oracle.anomalies if verdict.oracle else ():

@@ -5,8 +5,9 @@ vector and its complement).  Base rules, the dimension count first, settle a
 vector outright; Iff reductions recurse into a smaller vector; the one
 SparseIf edge, domination of a known sparse vector, can only propagate
 sparseness upward.  Dense / Sparse verdicts are memoized for the lifetime of
-the engine; Unknown is transient (a later call with a bigger budget may do
-better).
+the Engine that found them, and every memo belongs to an Engine its caller
+holds.  Unknown lives only in one decide call's visited set: a later call,
+say with a bigger budget, searches again.
 
 Every settled verdict carries a Certificate: a chain of rewrite steps from
 the queried vector down to a leaf (a base-rule hit or a vacuous rewrite).
@@ -52,7 +53,9 @@ DOMINATION_LEN_CAP = 6
 class Engine:
     """Rule search with a memo of settled verdicts.  use_size_table tries the
     SizeTable base rule; families turns it off so the table never certifies
-    itself.  Each decide call searches at most budget nodes."""
+    itself.  Each decide call searches at most budget nodes and visits each
+    canonical form at most once: a form already visited in the call and not
+    in the memo is in progress or failed, so it answers Unknown."""
 
     def __init__(self, use_size_table: bool = True):
         self.use_size_table = use_size_table
@@ -95,8 +98,8 @@ class Engine:
     # -- search ----------------------------------------------------------
 
     def decide(self, d: DimensionVector, budget: int = 50_000) -> Verdict:
-        state = {"nodes": 0, "limit": budget, "exhausted": False}
-        verdict = self._decide_rec(d, state, in_progress=set(), unknown={})
+        state = {"nodes": 0, "limit": budget, "exhausted": False, "visited": set()}
+        verdict = self._decide_rec(d, state)
         self.last_nodes = state["nodes"]
         self.last_budget_exhausted = state["exhausted"]
         return verdict
@@ -114,15 +117,14 @@ class Engine:
         self.memo[rep] = verdict
         return verdict
 
-    def _decide_rec(self, d: DimensionVector, state: dict,
-                    in_progress: set, unknown: dict) -> Verdict:
+    def _decide_rec(self, d: DimensionVector, state: dict) -> Verdict:
         rep = d.canonical()
         prefix = () if rep == d else (rules.rule_complement(d),)
 
         hit = self.memo.get(rep)
         if hit is not None:
             return self._with_prefix(d, prefix, hit)
-        if rep in in_progress or rep in unknown:
+        if rep in state["visited"]:
             return Verdict(Status.UNKNOWN)
         if state["nodes"] >= state["limit"]:
             state["exhausted"] = True
@@ -134,24 +136,19 @@ class Engine:
             status = Status.DENSE if step.direction == BASE_DENSE else Status.SPARSE
             return self._with_prefix(d, prefix, self._settle(rep, status, (step,)))
 
-        in_progress.add(rep)
-        try:
-            verdict = self._search_reductions(rep, state, in_progress, unknown)
-        finally:
-            in_progress.discard(rep)
+        state["visited"].add(rep)
+        verdict = self._search_reductions(rep, state)
         if verdict is not None:
             return self._with_prefix(d, prefix, verdict)
-        unknown[rep] = True
         return Verdict(Status.UNKNOWN)
 
-    def _search_reductions(self, rep: DimensionVector, state: dict,
-                           in_progress: set, unknown: dict) -> Optional[Verdict]:
+    def _search_reductions(self, rep: DimensionVector, state: dict) -> Optional[Verdict]:
         comp = rep.complement()
         sides = ((rep, ()), (comp, (rules.rule_complement(rep),)))
 
         step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
         if step is not None and step.params_dict().get("strict"):
-            child = self._decide_rec(step.outputs[0], state, in_progress, unknown)
+            child = self._decide_rec(step.outputs[0], state)
             if child.status is Status.SPARSE:
                 return self._settle(rep, Status.SPARSE,
                                     (step,) + child.certificate.steps)
@@ -162,7 +159,7 @@ class Engine:
                 for step in fn(side):
                     if step.is_vacuous:
                         return self._settle(rep, Status.DENSE, side_prefix + (step,))
-                    child = self._decide_rec(step.outputs[0], state, in_progress, unknown)
+                    child = self._decide_rec(step.outputs[0], state)
                     if child.status is not Status.UNKNOWN:
                         return self._settle(rep, child.status,
                                             side_prefix + (step,) + child.certificate.steps)
@@ -170,12 +167,12 @@ class Engine:
 
     # -- oracle fallback ---------------------------------------------------
 
-    def decide_with_oracle(self, d: DimensionVector, budget: int = 50_000,
-                           samples: int = 3, seed: int = 0) -> Verdict:
+    def decide_with_oracle(self, d: DimensionVector, samples: int = 3,
+                           seed: int = 0) -> Verdict:
         """Dense or Sparse, never Unknown: the engine's verdict with its
-        certificate, or, when the engine cannot settle d within budget, the
-        oracle's verdict with its report (oracle_decide(d, samples, seed))."""
-        verdict = self.decide(d, budget=budget)
+        certificate, or, when the engine cannot settle d, the oracle's
+        verdict with its report (oracle_decide(d, samples, seed))."""
+        verdict = self.decide(d)
         if verdict.status is not Status.UNKNOWN:
             return verdict
         report = oracle_decide(d, samples=samples, seed=seed)
@@ -259,16 +256,3 @@ def verify_certificate(cert: Certificate) -> bool:
         return False
 
     return all(_refire_matches(step) for step in cert.steps)
-
-
-# module-level convenience API on a shared engine
-_DEFAULT_ENGINE = Engine()
-
-
-def decide(d: DimensionVector, budget: int = 50_000) -> Verdict:
-    return _DEFAULT_ENGINE.decide(d, budget=budget)
-
-
-def decide_with_oracle(d: DimensionVector, budget: int = 50_000,
-                       samples: int = 3, seed: int = 0) -> Verdict:
-    return _DEFAULT_ENGINE.decide_with_oracle(d, budget=budget, samples=samples, seed=seed)

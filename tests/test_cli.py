@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from grassdense import __version__, oracle
+from grassdense import __version__, cli, oracle
 from grassdense.cli import EXIT_DENSE, EXIT_SPARSE, EXIT_USAGE, RULE_LABELS, main
 from grassdense import rules
 from grassdense.core import Status, Verdict, parse
@@ -246,6 +247,20 @@ class TestCache:
         assert len(steps) == 3 and "subset=(3, 3, 4)" in fresh
         assert cached.splitlines()[1:] == steps
 
+    def test_complement_served_its_own_record(self, capsys):
+        # a vector and its complement share a key, not a certificate
+        run(capsys, "decide", "1,2,2;5")
+        _, out, _ = run(capsys, "decide", "3,3,4;5", "--json")
+        _, fresh, _ = run(capsys, "decide", "3,3,4;5", "--json", "--no-cache")
+        rec, fresh_rec = json.loads(out), json.loads(fresh)
+        assert rec["vector"] == fresh_rec["vector"] == {"dims": [3, 3, 4], "n": 5}
+        assert rec["trace"] == fresh_rec["trace"]
+        _, cached, _ = run(capsys, "decide", "3,3,4;5", "--trace")
+        _, fresh, _ = run(capsys, "decide", "3,3,4;5", "--trace", "--no-cache")
+        assert "(cached)" in cached
+        assert cached.splitlines()[1:] == fresh.splitlines()[1:]
+        assert fresh.splitlines()[1].startswith("(3^2,4;5)  [complement/")
+
 
 class TestOtherCommands:
     def test_verify_small_sweep(self, capsys):
@@ -253,6 +268,27 @@ class TestOtherCommands:
         assert code == EXIT_DENSE
         assert "0 unknown" in out
         assert "0 disagreements" in out
+
+    def test_verify_reports_unknown_and_disagreement(self, capsys, monkeypatch):
+        real_decide, real_oracle = Engine.decide, cli.oracle_decide
+
+        def decide(self, d, budget=50_000):
+            return Verdict(Status.UNKNOWN) if d == parse("1,1,2,2;3") else real_decide(self, d)
+
+        def oracle_decide(d, samples, seed):
+            rep = real_oracle(d, samples=samples, seed=seed)
+            if d != parse("2,3,3;4"):
+                return rep
+            return dataclasses.replace(rep, verdict_class=oracle.VerdictClass.MONTE_CARLO_SPARSE)
+
+        monkeypatch.setattr(Engine, "decide", decide)
+        monkeypatch.setattr(cli, "oracle_decide", oracle_decide)
+        code, out, _ = run(capsys, "verify", "--max-n", "4", "--samples", "1")
+        assert code == EXIT_SPARSE
+        assert "UNKNOWN (1^2,2^2;3)" in out.splitlines()
+        (line,) = [s for s in out.splitlines() if s.startswith("DISAGREE")]
+        assert line.startswith("DISAGREE (2,3^2;4): engine=Dense oracle=MonteCarloSparse")
+        assert "1 unknown" in out and "1 disagreements" in out
 
     def test_classify_text(self, capsys):
         code, out, _ = run(capsys, "classify", "--size", "2")

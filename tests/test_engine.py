@@ -4,16 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdense.core import DimensionVector, Status, parse
-from grassdense.engine import (
-    Certificate, Engine, MalformedCertificateError, decide, decide_with_oracle,
-    verify_certificate,
-)
+from grassdense.core import DimensionVector, Status, Verdict, parse
+from grassdense.engine import Certificate, Engine, MalformedCertificateError, verify_certificate
 from grassdense.families import enumerate_vectors
 from grassdense.oracle import VerdictClass, oracle_decide
 from grassdense import rules as R
 
 from certutils import mutants
+
+decide = Engine().decide
 
 # vector -> verdict, frozen from oracle runs
 FROZEN = {
@@ -84,6 +83,9 @@ class TestDecide:
         eng = Engine()
         v = eng.decide(parse("1,1,1,1,5;6"), budget=1)
         assert v.status is Status.UNKNOWN and eng.last_budget_exhausted
+        # Unknown does not carry over: the next call on the engine searches again
+        v = eng.decide(parse("1,1,1,1,5;6"))
+        assert v.status is Status.DENSE and not eng.last_budget_exhausted
 
     def test_batch_order_independence(self):
         batch = [parse(t) for t in FROZEN]
@@ -114,17 +116,23 @@ class TestDecide:
         assert decide(d).status == decide(d.complement()).status
 
 
+class GivesUp(Engine):
+    """An engine that leaves every vector Unknown, as if out of budget."""
+
+    def decide(self, d, budget=50_000):
+        return Verdict(Status.UNKNOWN)
+
+
 class TestDecideWithOracle:
     def test_falls_back_on_budget_starvation(self):
-        eng = Engine()
-        v = eng.decide_with_oracle(parse("1,1,1,1,5;6"), budget=1, samples=2, seed=3)
+        v = GivesUp().decide_with_oracle(parse("1,1,1,1,5;6"), samples=2, seed=3)
         assert v.status is Status.DENSE
         assert v.oracle is not None and v.certificate is None
         # matches the unstarved engine
         assert Engine().decide(parse("1,1,1,1,5;6")).status is Status.DENSE
 
     def test_no_oracle_when_engine_decides(self):
-        v = decide_with_oracle(parse("1,1,2,2;3"))
+        v = Engine().decide_with_oracle(parse("1,1,2,2;3"))
         assert v.status is Status.SPARSE and v.oracle is None
 
 

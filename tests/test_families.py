@@ -1,12 +1,14 @@
 import pytest
 
 from grassdense.core import DimensionVector, Status, parse
-from grassdense.engine import decide
+from grassdense.engine import Engine
 from grassdense.families import (
     FamilyRule, SizeClassification, classify_size, enumerate_vectors,
     fibonacci_family, repeat_family,
 )
 from grassdense.oracle import oracle_decide
+
+decide = Engine().decide
 
 
 class TestFibonacciFamily:
