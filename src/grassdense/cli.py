@@ -4,20 +4,21 @@ Subcommands: decide, verify, classify, enumerate, family.  decide answers
 every vector with one verdict, Dense or Sparse, that carries one kind of
 evidence: an engine certificate, or an oracle report when the engine cannot
 settle the vector (verify is where engine coverage is inspected).  Exit codes
-for decide: 0 = Dense, 1 = Sparse, 3 = error, no verdict (a usage error, or an
-internal error, whose traceback goes to stderr).  decide results are cached as
-append-only JSONL (default ~/.cache/grassdense/verdicts.jsonl, override with
-GRASSDENSE_CACHE), keyed by canonical form, seed, samples and version, and
-served only to the vector the record answered (a vector and its complement
-share a key, not a certificate); cache lines that are not a readable record
-are skipped with a warning on stderr.
+for decide: 0 = Dense, 1 = Sparse, 3 = error, no verdict.  Every command exits
+3 on bad input: a bad vector or family base prints one `error: <msg>` line on
+stderr, a bad option prints the usage first, and an internal error prints its
+traceback.  decide results are cached as append-only JSONL (default
+~/.cache/grassdense/verdicts.jsonl, override with GRASSDENSE_CACHE), keyed by
+canonical form, seed, samples and version, and served only to the vector the
+record answered (a vector and its complement share a key, not a
+certificate); cache lines that are not a readable record are skipped with a
+warning on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .core import DimensionVector, Status, Verdict, VectorParseError, parse
+from .core import DimensionVector, Status, Verdict, parse
 from .engine import Engine, Certificate
 from .families import classification_json, classify_size, enumerate_vectors, \
     fibonacci_family, repeat_family
@@ -196,15 +197,8 @@ def _seed(text: str) -> int:
 
 # -- subcommands ---------------------------------------------------------------
 
-def _parse_vector(text: str, parser: _Parser) -> DimensionVector:
-    try:
-        return parse(text)
-    except VectorParseError as exc:
-        parser.error(str(exc))
-
-
-def cmd_decide(args, parser: _Parser) -> int:
-    d = _parse_vector(args.vector, parser)
+def cmd_decide(args) -> int:
+    d = parse(args.vector)
     # the version keeps verdicts cached under one rule set from the next
     key = {"canonical": str(d.canonical()), "seed": args.seed, "samples": args.samples,
            "version": __version__}
@@ -228,10 +222,10 @@ def cmd_decide(args, parser: _Parser) -> int:
     return {Status.DENSE: EXIT_DENSE, Status.SPARSE: EXIT_SPARSE}[Status(record["status"])]
 
 
-def cmd_verify(args, parser: _Parser) -> int:
+def cmd_verify(args) -> int:
     max_len = args.max_len if args.max_len is not None else args.max_n + 1
     engine = Engine()
-    t0 = time.time()
+    t0 = time.perf_counter()
     total = unknown = 0
     disagreements = []
     for d in enumerate_vectors(args.max_n, max_len):
@@ -246,25 +240,21 @@ def cmd_verify(args, parser: _Parser) -> int:
             disagreements.append((d, v.status.value, rep.verdict_class.value))
             print(f"DISAGREE {d}: engine={v.status.value} oracle={rep.verdict_class.value} "
                   f"stab={rep.stab_dim} expected={rep.expected}")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     print(f"{total} vectors checked (n <= {args.max_n}, length <= {max_len}) in {dt:.1f}s")
     print(f"{unknown} unknown")
     print(f"{len(disagreements)} disagreements")
     return EXIT_DENSE if not disagreements else EXIT_SPARSE
 
 
-def cmd_classify(args, parser: _Parser) -> int:
+def cmd_classify(args) -> int:
     c = classify_size(args.size)
-    if args.json:
-        sys.stdout.write(classification_json(c))
-    else:
-        sys.stdout.write(c.to_text())
+    sys.stdout.write(classification_json(c) if args.json else c.to_text())
     return EXIT_DENSE
 
 
-def cmd_enumerate(args, parser: _Parser) -> int:
-    vecs = enumerate_vectors(args.max_n, args.max_len, args.max_size)
-    if args.json:
+def _print_vectors(vecs, as_json: bool) -> int:
+    if as_json:
         print(json.dumps([_vec_json(v) for v in vecs]))
     else:
         for v in vecs:
@@ -272,21 +262,14 @@ def cmd_enumerate(args, parser: _Parser) -> int:
     return EXIT_DENSE
 
 
-def cmd_family(args, parser: _Parser) -> int:
-    base = _parse_vector(args.base, parser)
-    try:
-        if args.kind == "fibonacci":
-            members = fibonacci_family(base, args.k)
-        else:
-            members = repeat_family(base, args.k)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.json:
-        print(json.dumps([_vec_json(v) for v in members]))
-    else:
-        for v in members:
-            print(v)
-    return EXIT_DENSE
+def cmd_enumerate(args) -> int:
+    vecs = enumerate_vectors(args.max_n, args.max_len, args.max_size)
+    return _print_vectors(vecs, args.json)
+
+
+def cmd_family(args) -> int:
+    build = fibonacci_family if args.kind == "fibonacci" else repeat_family
+    return _print_vectors(build(parse(args.base), args.k), args.json)
 
 
 def _build_parser() -> _Parser:
@@ -336,11 +319,13 @@ def _build_parser() -> _Parser:
     return p
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args, parser)
+        return args.fn(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

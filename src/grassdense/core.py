@@ -87,10 +87,6 @@ class DimensionVector:
         """total - n; reductions are graded by this quantity."""
         return self.total - self.ambient
 
-    def multiplicities(self) -> dict[int, int]:
-        """Entry -> multiplicity, keys ascending."""
-        return dict(Counter(self.dims))
-
     # -- geometry --------------------------------------------------------
 
     @property

@@ -57,10 +57,11 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", "(1^2,2;5)")
         assert code == EXIT_DENSE
 
-    def test_bad_vector_exit3(self, capsys):
-        code, _, err = run(capsys, "decide", "5;2")
-        assert code == EXIT_USAGE
-        assert "error" in err
+    def test_bad_vector_exit3(self, capsys, isolated_cache):
+        code, out, err = run(capsys, "decide", "5;2")
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not isolated_cache.exists()
 
     def test_json_record_shape(self, capsys):
         code, out, _ = run(capsys, "decide", "1,1,2,2;3", "--json")
@@ -290,15 +291,19 @@ class TestOtherCommands:
         assert line.startswith("DISAGREE (2,3^2;4): engine=Dense oracle=MonteCarloSparse")
         assert "1 unknown" in out and "1 disagreements" in out
 
-    def test_classify_text(self, capsys):
-        code, out, _ = run(capsys, "classify", "--size", "2")
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_classify_text(self, capsys, size):
+        code, out, _ = run(capsys, "classify", "--size", str(size))
         assert code == EXIT_DENSE
-        assert "(2^4;5)" in out
+        with open(f"golden/size{size}_classification.txt") as fh:
+            assert out == fh.read()
 
-    def test_classify_json_matches_golden(self, capsys):
-        code, out, _ = run(capsys, "classify", "--size", "2", "--json")
-        with open("golden/size2_classification.json") as fh:
-            assert json.loads(out) == json.load(fh)
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_classify_json_matches_golden(self, capsys, size):
+        code, out, _ = run(capsys, "classify", "--size", str(size), "--json")
+        assert code == EXIT_DENSE
+        with open(f"golden/size{size}_classification.json") as fh:
+            assert out == fh.read()
 
     def test_enumerate(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-n", "3", "--max-len", "3",
@@ -316,8 +321,9 @@ class TestOtherCommands:
         assert out.splitlines() == ["(1^3,2;3)", "(1^3,2,3;5)", "(1^3,2,3,5;8)"]
 
     def test_family_bad_base_exit3(self, capsys):
-        code, _, err = run(capsys, "family", "repeat", "--base", "1,1;3", "-k", "2")
-        assert code == EXIT_USAGE
+        code, out, err = run(capsys, "family", "repeat", "--base", "1,1;3", "-k", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_missing_subcommand_exit3(self, capsys):
         assert run(capsys, )[0] == EXIT_USAGE
@@ -328,6 +334,19 @@ class TestOtherCommands:
             code, out, err = run(capsys, "decide", "1;2", *flag)
             assert code == EXIT_USAGE and out == "" and "unrecognized" in err
         assert not isolated_cache.exists()
+
+    def test_parser_reused_after_errors(self, capsys, isolated_cache, monkeypatch):
+        first = run(capsys, "decide", "1,2,2;5")
+        isolated_cache.unlink()
+        # main reuses the parser built at import; an error in one call must not reach the next
+        monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("main built a parser"))
+        assert run(capsys, "decide", "1,2,2;5", "--bogus")[0] == EXIT_USAGE
+        for argv in (("decide", "5;2"), ("family", "repeat", "--base", "1,1;3", "-k", "2")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not isolated_cache.exists()
+        assert run(capsys, "decide", "1,2,2;5") == first
 
 
 def test_console_script_installed():

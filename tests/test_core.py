@@ -135,11 +135,6 @@ class TestDominates:
         assert bigger.dominates(v)
 
 
-class TestMultiplicities:
-    def test_multiplicities(self):
-        assert parse("(1^2,2^3;7)").multiplicities() == {1: 2, 2: 3}
-
-
 class TestVerdict:
     def test_dense_requires_evidence(self):
         with pytest.raises(ValueError):

@@ -173,7 +173,7 @@ class TestBalancedTripwire:
         assert r.verdict_class is VerdictClass.MONTE_CARLO_SPARSE
         assert (r.stab_dim, r.expected) == (stab, expected)
 
-    @pytest.mark.xfail(strict=True, reason="the Balanced rule is unsound (ROADMAP item 1)")
+    @pytest.mark.xfail(strict=True, reason="the Balanced rule is unsound (ROADMAP item 2)")
     @pytest.mark.parametrize("text", [text for text, _, _ in BALANCED_REFUTED])
     def test_decide_sparse(self, text):
         assert decide(parse(text)).status is Status.SPARSE

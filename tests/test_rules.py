@@ -323,7 +323,7 @@ def _sweep_dense(d):
 
 @pytest.mark.parametrize("rule_id", [
     pytest.param(rid, marks=pytest.mark.xfail(
-        strict=True, reason="the Balanced rule is unsound (ROADMAP item 1)"))
+        strict=True, reason="the Balanced rule is unsound (ROADMAP item 2)"))
     if rid == R.BALANCED else rid
     for rid in R.BASE_RULES])
 def test_base_rule_agrees_with_oracle_in_isolation(rule_id):
