@@ -6,8 +6,8 @@ vector outright; Iff reductions recurse into a smaller vector; the one
 SparseIf edge, domination of a known sparse vector, can only propagate
 sparseness upward.  Dense / Sparse verdicts are memoized for the lifetime of
 the Engine that found them, and every memo belongs to an Engine its caller
-holds.  Unknown lives only in one decide call's visited set: a later call,
-say with a bigger budget, searches again.
+holds.  Unknown lives only in one decide call's visited set: a later call
+searches again.  A call searches at most NODE_BUDGET nodes.
 
 Every settled verdict carries a Certificate: a chain of rewrite steps from
 the queried vector down to a leaf (a base-rule hit or a vacuous rewrite).
@@ -45,6 +45,9 @@ class Certificate:
     steps: tuple[RewriteStep, ...]
 
 
+# nodes one decide call may search; read at call time
+NODE_BUDGET = 50_000
+
 # the domination seed store covers ambients and lengths up to these
 DOMINATION_AMBIENT_CAP = 12
 DOMINATION_LEN_CAP = 6
@@ -53,9 +56,11 @@ DOMINATION_LEN_CAP = 6
 class Engine:
     """Rule search with a memo of settled verdicts.  use_size_table tries the
     SizeTable base rule; families turns it off so the table never certifies
-    itself.  Each decide call searches at most budget nodes and visits each
-    canonical form at most once: a form already visited in the call and not
-    in the memo is in progress or failed, so it answers Unknown."""
+    itself.  Each decide call searches at most NODE_BUDGET nodes and visits
+    each canonical form at most once: a form already visited in the call and
+    not in the memo is in progress or failed, so it answers Unknown.  A
+    repeated step costs no node: the first try left its child in the memo,
+    in the visited set, or past the budget."""
 
     def __init__(self, use_size_table: bool = True):
         self.use_size_table = use_size_table
@@ -97,8 +102,8 @@ class Engine:
 
     # -- search ----------------------------------------------------------
 
-    def decide(self, d: DimensionVector, budget: int = 50_000) -> Verdict:
-        state = {"nodes": 0, "limit": budget, "exhausted": False, "visited": set()}
+    def decide(self, d: DimensionVector) -> Verdict:
+        state = {"nodes": 0, "exhausted": False, "visited": set()}
         verdict = self._decide_rec(d, state)
         self.last_nodes = state["nodes"]
         self.last_budget_exhausted = state["exhausted"]
@@ -126,7 +131,7 @@ class Engine:
             return self._with_prefix(d, prefix, hit)
         if rep in state["visited"]:
             return Verdict(Status.UNKNOWN)
-        if state["nodes"] >= state["limit"]:
+        if state["nodes"] >= NODE_BUDGET:
             state["exhausted"] = True
             return Verdict(Status.UNKNOWN)
         state["nodes"] += 1

@@ -67,8 +67,6 @@ def enumerate_vectors(max_n: int, max_len: int,
                       max_size: Optional[int] = None) -> Iterator[DimensionVector]:
     """All normalized vectors with ambient <= max_n and length <= max_len in
     graded lexicographic order: by ambient, then length, then entries."""
-    if max_n < 2 or max_len < 1:
-        return
     for n in range(2, max_n + 1):
         top = n - 1 if max_size is None else min(max_size, n - 1)
         for length in range(1, max_len + 1):

@@ -44,6 +44,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def is_elimination_prime(p) -> bool:
+    """p is a prime below 2^31, so residue products stay exact in int64."""
+    return isinstance(p, (int, np.integer)) and p < 2**31 and is_probable_prime(int(p))
+
+
 def random_prime(rng: np.random.Generator) -> int:
     """Uniform-ish prime in (2^30, 2^31) by rejection sampling."""
     while True:
@@ -85,7 +90,10 @@ def mod_rank(a: np.ndarray, p: int) -> int:
     Eliminates one working copy whose columns are sorted by ascending
     nonzero count (stable), which keeps fill low on sparse systems; the
     rank is that of the input, since column permutations preserve it.
+    Raises ValueError unless p is a prime below 2^31.
     """
+    if not is_elimination_prime(p):
+        raise ValueError(f"modulus must be a prime below 2^31 (int64 elimination), got {p!r}")
     a = np.asarray(a, dtype=np.int64)
     if a.size == 0:
         return 0
@@ -104,7 +112,6 @@ def bareiss_rank(a) -> int:
     if not m or not m[0]:
         return 0
     rows, cols = len(m), len(m[0])
-    rank = 0
     prev = 1
     r = 0
     for c in range(cols):
@@ -120,6 +127,5 @@ def bareiss_rank(a) -> int:
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
-        rank += 1
         r += 1
-    return rank
+    return r

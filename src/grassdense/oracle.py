@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DimensionVector
-from .linalg import bareiss_rank, is_probable_prime, mod_rank, random_prime
+from .linalg import bareiss_rank, is_elimination_prime, mod_rank, random_prime
 
 # Over Q (prime None) the chart entries A_i are drawn from [-bound, bound].
 # System entries have degree <= 2 in the A_i, so a nonzero r x r minor is a
@@ -205,8 +205,7 @@ def oracle_decide(
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     if primes is not None:
         primes = [None if p is None else int(p) for p in primes]
-        if not primes or any(p is not None and not (is_probable_prime(p) and p < 2**31)
-                             for p in primes):
+        if not primes or any(p is not None and not is_elimination_prime(p) for p in primes):
             raise ValueError(f"primes must be a nonempty list of None or primes below 2^31 "
                              f"(int64 elimination), got {primes}")
     expected = d.expected_stab_dim

@@ -10,7 +10,9 @@ relates it to smaller vectors:
 The rule_id strings are the stable wire format used in certificate JSON; the
 short L* names are opaque labels for the reduction rules.  BASE_RULES and
 REDUCTION_RULES, at the end, are the rule registry: dict order is the
-engine's search order, and every registered rule is called as fn(v).
+engine's search order, and every registered rule is called as fn(v).  A
+reduction returns every step it finds, repeats included: the engine answers
+a repeated child from its memo or its visited set.
 
 A rewrite may produce a vector all of whose entries drop during
 normalization ("vacuous": the configuration degenerates to a point, which is
@@ -79,14 +81,6 @@ def _step(rule_id: str, direction: str, d: DimensionVector,
     return RewriteStep(rule_id, direction, tuple(sorted(params.items())), d, outputs)
 
 
-def _try_normalize(entries, ambient) -> Optional[DimensionVector]:
-    """normalize, mapping the vacuous case to None."""
-    try:
-        return normalize(entries, ambient)
-    except VacuousVectorError:
-        return None
-
-
 def _submultisets(dims: tuple[int, ...], min_size: int = 1) -> Iterator[tuple[int, ...]]:
     """All distinct sub-multisets with at least min_size entries, as sorted
     tuples, in a deterministic order (not by size); none past the cap."""
@@ -106,15 +100,18 @@ def _remove(dims: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(left.elements()))
 
 
-def _distinct_pairs(dims: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Distinct unordered entry pairs (b1 <= b2) present with multiplicity."""
-    counts = Counter(dims)
+def _pair_splits(d: DimensionVector) -> Iterator[tuple[int, int, tuple[int, ...], int]]:
+    """Splits of d into a distinct unordered entry pair b1 <= b2 and the
+    rest, where the rest sums to n - k with 0 < k <= b1 (so it is nonempty),
+    as (b1, b2, rest, k)."""
+    counts = Counter(d.dims)
     values = sorted(counts)
+    excess = d.excess
     for i, b1 in enumerate(values):
         for b2 in values[i:]:
-            if b1 == b2 and counts[b1] < 2:
-                continue
-            yield b1, b2
+            k = b1 + b2 - excess
+            if (b1 < b2 or counts[b1] >= 2) and 0 < k <= b1:
+                yield b1, b2, _remove(d.dims, (b1, b2)), k
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +292,11 @@ def rule_domination_sparse(d: DimensionVector,
 
 def _iff_step(rule_id: str, d: DimensionVector, entries: list[int], ambient: int,
               **params) -> RewriteStep:
-    out = _try_normalize(entries, ambient)
-    if out is None:
+    try:
+        out = normalize(entries, ambient)
+    except VacuousVectorError:
         return _step(rule_id, IFF, d, (), vacuous=True, ambient=ambient, **params)
     return _step(rule_id, IFF, d, (out,), **params)
-
-
-def _dedup(steps: list[RewriteStep]) -> list[RewriteStep]:
-    seen = set()
-    kept = []
-    for s in steps:
-        key = (s.rule_id, s.outputs) if s.outputs else (s.rule_id, s.params)
-        if key not in seen:
-            seen.add(key)
-            kept.append(s)
-    return kept
 
 
 def rule_restrict_to_span(d: DimensionVector) -> list[RewriteStep]:
@@ -329,30 +316,15 @@ def rule_restrict_to_span(d: DimensionVector) -> list[RewriteStep]:
             continue
         entries = list(sub) + [b - k for b in rest]
         steps.append(_iff_step(L3, d, entries, sa, kept=sub, k=k))
-    return _dedup(steps)
+    return steps
 
 
-def rule_complementary_pair(d: DimensionVector, ) -> list[RewriteStep]:
+def rule_complementary_pair(d: DimensionVector) -> list[RewriteStep]:
     """Complementary pair: entries b1 + b2 = n and the rest summing to
     n - k with k <= b1 <= b2 reduce to ambient n - k, shrinking the pair to
     (b1 - k, b2 - k).  Density transfers both ways."""
-    n = d.ambient
-    steps = []
-    for b1, b2 in _distinct_pairs(d.dims):
-        if b1 + b2 != n:
-            continue
-        rest = _remove(d.dims, (b1, b2))
-        if not rest:
-            continue
-        sa = sum(rest)
-        if sa >= n:
-            continue
-        k = n - sa
-        if k > b1:
-            continue
-        entries = list(rest) + [b1 - k, b2 - k]
-        steps.append(_iff_step(L8, d, entries, n - k, pair=(b1, b2), k=k))
-    return _dedup(steps)
+    return [_iff_step(L8, d, list(rest) + [b1 - k, b2 - k], d.ambient - k, pair=(b1, b2), k=k)
+            for b1, b2, rest, k in _pair_splits(d) if b1 + b2 == d.ambient]
 
 
 def rule_span_intersect(d: DimensionVector) -> list[RewriteStep]:
@@ -360,26 +332,12 @@ def rule_span_intersect(d: DimensionVector) -> list[RewriteStep]:
     k <= b1 <= b2, reduce to the span of the pair intersected with the rest:
     ambient m = b1 + b2 - k, keeping b1, b2.  Density transfers both ways.
     Skipped when a leftover entry exceeds m (it would not fit)."""
-    n = d.ambient
     steps = []
-    for b1, b2 in _distinct_pairs(d.dims):
-        if b1 + b2 >= n:
-            continue
-        rest = _remove(d.dims, (b1, b2))
-        if not rest:
-            continue
-        sa = sum(rest)
-        if sa >= n:
-            continue
-        k = n - sa
-        if k > b1:
-            continue
+    for b1, b2, rest, k in _pair_splits(d):
         m = b1 + b2 - k
-        if any(a > m for a in rest):
-            continue
-        entries = list(rest) + [b1, b2]
-        steps.append(_iff_step(L9, d, entries, m, pair=(b1, b2), k=k, m=m))
-    return _dedup(steps)
+        if b1 + b2 < d.ambient and rest[-1] <= m:
+            steps.append(_iff_step(L9, d, list(rest) + [b1, b2], m, pair=(b1, b2), k=k, m=m))
+    return steps
 
 
 def rule_intersection_swap(d: DimensionVector) -> list[RewriteStep]:
@@ -395,7 +353,7 @@ def rule_intersection_swap(d: DimensionVector) -> list[RewriteStep]:
         rest = _remove(d.dims, sub)
         entries = list(rest) + [n - a for a in sub]
         steps.append(_iff_step(L10, d, entries, n, subset=sub))
-    return _dedup(steps)
+    return steps
 
 
 def rule_excess(d: DimensionVector) -> list[RewriteStep]:

@@ -26,10 +26,10 @@ def engine_gives_up(monkeypatch):
     so decide settles it by the oracle; other vectors are decided as usual."""
     real = Engine.decide
 
-    def decide(self, d, budget=50_000):
+    def decide(self, d):
         if d.canonical() == parse(ORACLE_BOUND).canonical():
             return Verdict(Status.UNKNOWN)
-        return real(self, d, budget)
+        return real(self, d)
     monkeypatch.setattr(Engine, "decide", decide)
 
 
@@ -81,7 +81,7 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", "1,1,1,1,2;4", "--json", "--no-cache")
         assert code == EXIT_SPARSE and json.loads(out)["method"] == "engine"
         assert json.loads(out)["trivially_sparse"] is True
-        monkeypatch.setattr(Engine, "decide", lambda self, d, budget=0: Verdict(Status.UNKNOWN))
+        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict(Status.UNKNOWN))
         code, out, _ = run(capsys, "decide", "1,1,1,1,2;4", "--json", "--no-cache")
         assert code == EXIT_SPARSE and json.loads(out)["method"] == "oracle"
         assert json.loads(out)["trivially_sparse"] is True
@@ -120,7 +120,7 @@ class TestDecide:
         # per-prime minima 4 and 3 on a vector expecting 2
         stabs = iter([4, 3, 5, 4])
         monkeypatch.setattr(oracle, "stabilizer_nullity", lambda c: next(stabs) + 1)
-        monkeypatch.setattr(Engine, "decide", lambda self, d, budget=0: Verdict(Status.UNKNOWN))
+        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict(Status.UNKNOWN))
         code, out, err = run(capsys, "decide", "1,3,3,3;5", "--json", "--samples", "4")
         (anomaly,) = json.loads(out)["oracle"]["anomalies"]
         assert code == EXIT_SPARSE and "differs across primes" in anomaly
@@ -137,7 +137,7 @@ class TestDecide:
         assert not isolated_cache.exists()
 
     def test_internal_error_exit3(self, capsys, monkeypatch):
-        def boom(self, d, budget=0):
+        def boom(self, d):
             raise RuntimeError("engine failure")
         monkeypatch.setattr(Engine, "decide", boom)
         code, out, err = run(capsys, "decide", "1,2,2;5")
@@ -146,6 +146,14 @@ class TestDecide:
 
 
 class TestCache:
+    def test_io_errors_only_warn(self, capsys, monkeypatch, tmp_path):
+        # a directory can be neither read nor appended to as a cache file
+        monkeypatch.setenv("GRASSDENSE_CACHE", str(tmp_path))
+        code, out, err = run(capsys, "decide", "1,2,2;5")
+        assert code == EXIT_DENSE and out.startswith("DENSE")
+        assert "warning: cache unreadable" in err and "warning: cache not written" in err
+        assert "Traceback" not in err
+
     def test_round_trip(self, capsys, isolated_cache):
         run(capsys, "decide", "1,2,2;5", "--json")
         assert isolated_cache.exists()
@@ -273,7 +281,7 @@ class TestOtherCommands:
     def test_verify_reports_unknown_and_disagreement(self, capsys, monkeypatch):
         real_decide, real_oracle = Engine.decide, cli.oracle_decide
 
-        def decide(self, d, budget=50_000):
+        def decide(self, d):
             return Verdict(Status.UNKNOWN) if d == parse("1,1,2,2;3") else real_decide(self, d)
 
         def oracle_decide(d, samples, seed):

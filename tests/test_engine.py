@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdense.core import DimensionVector, Status, Verdict, parse
+from grassdense import engine
 from grassdense.engine import Certificate, Engine, MalformedCertificateError, verify_certificate
 from grassdense.families import enumerate_vectors
 from grassdense.oracle import VerdictClass, oracle_decide
@@ -79,11 +80,13 @@ class TestDecide:
         # such a step settle on a Dense child would call it Dense
         assert decide(parse("(3,8,12^2,18;22)")).status is not Status.DENSE
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         eng = Engine()
-        v = eng.decide(parse("1,1,1,1,5;6"), budget=1)
+        monkeypatch.setattr(engine, "NODE_BUDGET", 1)
+        v = eng.decide(parse("1,1,1,1,5;6"))
         assert v.status is Status.UNKNOWN and eng.last_budget_exhausted
         # Unknown does not carry over: the next call on the engine searches again
+        monkeypatch.undo()
         v = eng.decide(parse("1,1,1,1,5;6"))
         assert v.status is Status.DENSE and not eng.last_budget_exhausted
 
@@ -119,7 +122,7 @@ class TestDecide:
 class GivesUp(Engine):
     """An engine that leaves every vector Unknown, as if out of budget."""
 
-    def decide(self, d, budget=50_000):
+    def decide(self, d):
         return Verdict(Status.UNKNOWN)
 
 

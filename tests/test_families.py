@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 
+from grassdense import engine
 from grassdense.core import DimensionVector, Status, parse
 from grassdense.engine import Engine
 from grassdense.families import (
-    FamilyRule, SizeClassification, classify_size, enumerate_vectors,
+    FamilyRule, SizeClassification, classification_json, classify_size, enumerate_vectors,
     fibonacci_family, repeat_family,
 )
 from grassdense.oracle import oracle_decide
@@ -122,6 +125,17 @@ class TestClassifySize:
             if v.size != size:
                 continue
             assert c.is_dense(v) == (decide(v).status is Status.DENSE), str(v)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_never_reaches_oracle(self, size, monkeypatch):
+        # every golden member carries an engine certificate
+        def refuse(*args, **kwargs):
+            raise AssertionError("classification fell back to the oracle")
+        monkeypatch.setattr(engine, "oracle_decide", refuse)
+        c = classify_size(size)
+        golden = Path(__file__).resolve().parent.parent / "golden"
+        assert classification_json(c) == (golden / f"size{size}_classification.json").read_text()
+        assert c.to_text() == (golden / f"size{size}_classification.txt").read_text()
 
     def test_is_dense_rejects_wrong_size(self):
         with pytest.raises(ValueError):

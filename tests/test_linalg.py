@@ -46,6 +46,15 @@ class TestModular:
     def test_empty_rank_zero(self, shape):
         assert mod_rank(np.zeros(shape, dtype=np.int64), P) == 0
 
+    # 4 is composite (the rank "mod 4" would read 1); 1 is no prime; 2^61 - 1
+    # and 2^31 + 11 are primes whose residue products overflow int64
+    @pytest.mark.parametrize("p", [4, 1, 2**61 - 1, 2**31 + 11, 7.0])
+    def test_rejects_bad_modulus(self, p):
+        with pytest.raises(ValueError, match="prime below 2\\^31"):
+            mod_rank([[3, 5], [6, 10]], p)
+        with pytest.raises(ValueError, match="prime below 2\\^31"):
+            mod_rank(np.zeros((0, 0), dtype=np.int64), p)
+
 
 @st.composite
 def sparse_matrices(draw):

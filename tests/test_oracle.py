@@ -135,6 +135,15 @@ class TestStabilizerNullity:
         assert _eliminate(m % P, P) == rank
         assert stabilizer_nullity(c) == m.shape[1] - rank
 
+    def test_overflowing_prime_rejected(self):
+        # (1^2,2^2;3) is sparse, stabilizer dim 1; over 2^61 - 1 the int64
+        # products overflow and it would read 0, which looks dense
+        d = parse("1,1,2,2;3")
+        for seed in range(3):
+            assert stabilizer_nullity(sample_configuration(d, prime=P, seed=seed)) - 1 == 1
+            with pytest.raises(ValueError, match="prime below 2\\^31"):
+                stabilizer_nullity(sample_configuration(d, prime=2**61 - 1, seed=seed))
+
     def test_rank_beyond_unknowns_raises(self, monkeypatch):
         c = sample_configuration(parse("1,1,1,1;3"), prime=P, seed=0)
         monkeypatch.setattr(oracle, "mod_rank", lambda m, p: c.ambient ** 2)
