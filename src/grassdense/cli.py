@@ -11,8 +11,11 @@ traceback.  decide results are cached as append-only JSONL (default
 ~/.cache/grassdense/verdicts.jsonl, override with GRASSDENSE_CACHE), keyed by
 canonical form, seed, samples and version, and served only to the vector the
 record answered (a vector and its complement share a key, not a
-certificate); cache lines that are not a readable record are skipped with a
-warning on stderr.
+certificate).  A lookup parses only the lines that can hold its record: a line
+in the writer's layout for another canonical form is skipped unread, so damage
+to it is not reported; any other line that is not a readable record is
+skipped with a warning on stderr.  A record appended after a cut-off last line
+starts a line of its own.
 """
 
 from __future__ import annotations
@@ -146,16 +149,27 @@ def _cache_path() -> Path:
     return Path.home() / ".cache" / "grassdense" / "verdicts.jsonl"
 
 
+# sort_keys puts "key" first in every line _cache_append writes, and
+# "canonical" first within it: each line starts so, then the canonical form
+_RECORD_PREFIX = '{"key": {"canonical": '
+
+
 def _cache_lookup(path: Path, want: tuple) -> Optional[dict]:
-    """The last readable record whose (key, vector) is want."""
+    """The last readable record whose (key, vector) is want.
+
+    A line in the writer's layout for another canonical form cannot match
+    want and is skipped unread, so damage to it is not reported here; every
+    other line is parsed and checked, and one that is not a readable record
+    is skipped with a warning."""
     if not path.exists():
         return None
+    mine = _RECORD_PREFIX + json.dumps(want[0]["canonical"]) + ","
     hit = None
     try:
         with path.open(errors="replace") as fh:
             for i, line in enumerate(fh, 1):
                 line = line.strip()
-                if not line:
+                if not line or (line.startswith(_RECORD_PREFIX) and not line.startswith(mine)):
                     continue
                 try:
                     rec = json.loads(line)
@@ -173,10 +187,15 @@ def _cache_lookup(path: Path, want: tuple) -> Optional[dict]:
 
 
 def _cache_append(path: Path, record: dict) -> None:
+    line = json.dumps(record, sort_keys=True) + "\n"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with path.open("ab+") as fh:
+            if fh.seek(0, os.SEEK_END):  # a cut-off last line must not swallow this record
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write(line.encode())
     except OSError as exc:
         sys.stderr.write(f"warning: cache not written ({exc})\n")
 

@@ -200,6 +200,51 @@ class TestCache:
         assert "(cached)" in out
         assert "corrupt cache line 1" in err
 
+    def test_record_after_cut_off_line_served(self, capsys, isolated_cache):
+        # a crash mid-append leaves a last line with no newline
+        isolated_cache.write_text('{"key": {"canonical": "(1^2,2^2;3)", "samp')
+        run(capsys, "decide", "1,2,2;5")
+        code, out, _ = run(capsys, "decide", "1,2,2;5")
+        assert code == EXIT_DENSE and "(cached)" in out
+        assert len(isolated_cache.read_text().splitlines()) == 2
+
+    def test_hit_parses_only_its_canonical_form(self, capsys, isolated_cache, monkeypatch):
+        for v in ("1,1,2,2;3", "1,2,2;5", "2,2,2;4", "3,3,4;5", "1,1,1;2"):
+            run(capsys, "decide", v)
+        parsed = []
+        real = json.loads
+
+        def loads(s, **kw):
+            parsed.append(s)
+            return real(s, **kw)
+        monkeypatch.setattr(json, "loads", loads)
+        code, out, _ = run(capsys, "decide", "1,2,2;5")
+        assert code == EXIT_DENSE and "(cached)" in out
+        # its own record and its complement's, which share the canonical form
+        assert [real(s)["vector"]["dims"] for s in parsed] == [[1, 2, 2], [3, 3, 4]]
+
+    def _cut_off(self, capsys, isolated_cache, vector):
+        """decide's cache line for vector, cut off after the writer's prefix
+        and the canonical form; the cache file is removed."""
+        run(capsys, "decide", vector)
+        line = isolated_cache.read_text()
+        isolated_cache.unlink()
+        cut = cli._RECORD_PREFIX + json.dumps(json.loads(line)["key"]["canonical"]) + ', "samp'
+        assert line.startswith(cut)
+        return cut
+
+    def test_cut_off_own_record_warned_and_recomputed(self, capsys, isolated_cache):
+        isolated_cache.write_text(self._cut_off(capsys, isolated_cache, "1,2,2;5") + "\n")
+        self._recompute_despite(capsys)
+
+    def test_cut_off_other_record_skipped_silently(self, capsys, isolated_cache):
+        cut = self._cut_off(capsys, isolated_cache, "1,1,2,2;3")
+        run(capsys, "decide", "1,2,2;5")
+        isolated_cache.write_text(cut + "\n" + isolated_cache.read_text())
+        code, out, err = run(capsys, "decide", "1,2,2;5")
+        assert code == EXIT_DENSE and "(cached)" in out
+        assert err == ""
+
     @pytest.mark.parametrize("argv", [("1,2,2;5",), (ORACLE_BOUND,)])
     def test_cached_reason_matches_fresh(self, capsys, engine_gives_up, argv):
         _, fresh, _ = run(capsys, "decide", *argv)
