@@ -5,17 +5,22 @@ stabilizer in PGL(n) has dimension exactly
 
     expected = n^2 - 1 - sum d_i (n - d_i).
 
-Slice.  Two subspaces in general position form one GL(n)-orbit, so a
-sample fixes the two entries with the largest d_i (n - d_i) (ties to the
-larger d_i, then the earlier entry) at coordinate subspaces,
+Slice.  A sample fixes the two entries with the largest d_i (n - d_i)
+(ties to the larger d_i, then the earlier entry) at coordinate subspaces,
 
     U_1 = span(e_1..e_a) = [I_a; 0],   U_2 = span(e_{n-b+1}..e_n) = [0; I_b],
 
-which meet in span(e_{n-b+1}..e_a) when a + b > n.  A coordinate subspace
+which meet in span(e_{n-b+1}..e_a) when a + b > n.  When a + b <= n the
+remaining entries are taken in the same order, and each one that keeps the
+fixed dimensions' sum at most n is fixed at the next block of coordinates
+down from row a: U = span(e_{s+1}..e_{s+d}), s the rows already used at the
+top.  The fixed blocks are then pairwise disjoint.  A coordinate subspace
 span(e_j : j in S) is g-stable iff g[i, j] = 0 for all i not in S, j in S,
-so U_1 and U_2 force the blocks g[a:, :a] and g[:n-b, n-b:] to vanish.  The
-two blocks share no entry (that would need a <= i < n-b and n-b <= j < a),
-so a(n-a) + b(n-b) unknowns drop out together with those subspaces' rows.
+so each fixed block forces those entries to vanish, and they drop out of
+the system together with that subspace's rows.  No entry is forced twice:
+disjoint blocks force disjoint columns, and the overlapping pair's blocks
+g[a:, :a] and g[:n-b, n-b:] would need a <= i < n-b and n-b <= j < a; so
+d_i (n - d_i) unknowns drop out per fixed entry.
 
 Every other subspace is sampled in the affine chart of Gr(d_i, n) spanned
 by the columns of U_i = [I_{d_i}; A_i], with A_i a random (n - d_i) x d_i
@@ -26,14 +31,20 @@ i.e. Q_i g U_i = 0: d_i (n - d_i) linear equations per chart subspace on the
 entries of g that no coordinate subspace forces to zero, stacked into one
 system and reduced by one rank computation, over F_p for a prime p or over
 Q for the prime None.  The nullity is the number of kept unknowns minus
-that rank; for one or two subspaces the system is empty.  The same
+that rank.  The system is empty when every subspace is fixed: for one or
+two subspaces, and whenever the dimensions sum to at most n.  The same
 builder serves any configuration: a chart subspace whose A_i is zero is a
 coordinate subspace and is handled as one, which gives the same kernel.
 
-Soundness.  The pairs (U_1, U_2) in general position form a dense open
-subset of Gr(a, n) x Gr(b, n), and GL(n) is transitive on it, so the slice
-{U_1, U_2 fixed} meets every orbit of the dense open set where they are in
-general position.  Stabilizer dimension is constant along an orbit
+Soundness.  Let F be the fixed entries.  Tuples (U_i)_{i in F} in general
+position are a dense open subset of prod_{i in F} Gr(d_i, n): for the
+overlapping pair this means U_1 + U_2 = k^n, and otherwise, the sum of the
+d_i being at most n, that the sum is direct.  GL(n) is transitive on that
+set (in the direct case, send a basis adapted to the sum to e_1..e_m in
+the blocks' order; in the overlapping case, one adapted to U_1 meet U_2,
+then to complements in U_1 and in U_2), so the slice {U_i fixed, i in F}
+meets every orbit of the dense open set where they are in general
+position.  Stabilizer dimension is constant along an orbit
 (stabilizers of g x and x are conjugate), so the set of points attaining
 the generic dimension is a GL(n)-stable dense open set; it meets the slice,
 hence is dense and open in the irreducible slice, and a random chart point
@@ -78,8 +89,8 @@ class GenericConfiguration:
     """Sampled point of the product of Grassmannians.
 
     subspaces[i] is an n x d_i matrix over F_prime (prime set) or over Z
-    viewed inside Q (prime None): a chart matrix [I_{d_i}; A_i], or the
-    bottom coordinate subspace [0; I_{d_i}].
+    viewed inside Q (prime None): a chart matrix [I_{d_i}; A_i], or a
+    coordinate block np.eye(n, d_i, k=-s), the span of e_{s+1}..e_{s+d_i}.
     """
 
     ambient: int
@@ -90,11 +101,12 @@ class GenericConfiguration:
         for u in self.subspaces:
             if u.ndim != 2 or u.shape[0] != self.ambient:
                 raise ValueError(f"subspace matrix shape {u.shape} does not match n={self.ambient}")
-            eye = np.eye(u.shape[1], dtype=np.int64)
-            chart = np.array_equal(u[: u.shape[1]], eye)
-            bottom = np.array_equal(u[-u.shape[1]:], eye) and not u[: -u.shape[1]].any()
-            if not (chart or bottom):
-                raise ValueError("subspace matrix is neither a chart [I; A] nor [0; I]")
+            d = u.shape[1]
+            rows = np.flatnonzero(u.any(axis=1))
+            chart = np.array_equal(u[:d], np.eye(d, dtype=np.int64))
+            block = rows.size == d > 0 and np.array_equal(u, np.eye(self.ambient, d, k=-rows[0]))
+            if not (chart or block):
+                raise ValueError("subspace matrix is neither a chart [I; A] nor a coordinate block")
 
 
 @dataclass(frozen=True)
@@ -120,9 +132,11 @@ def sample_configuration(
     prime: Optional[int] = None,
     seed: int | np.random.SeedSequence = 0,
 ) -> GenericConfiguration:
-    """Fix the slice's two entries at [I; 0] and [0; I] and draw a random
-    chart point [I; A_i] for every other subspace, deterministically in
-    (d, prime, seed).  prime=None selects rational (integer-entry) mode."""
+    """Fix the slice's pair at [I; 0] and [0; I] and, when they are a
+    direct sum, every further entry that fits at the next coordinate block
+    below the first; draw a random chart point [I; A_i] for every other
+    subspace, deterministically in (d, prime, seed).  prime=None selects
+    rational (integer-entry) mode."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence([int(seed), prime or 0])
     rng = np.random.default_rng(seed)
@@ -131,16 +145,24 @@ def sample_configuration(
     else:
         lo, hi = 0, prime
     n = d.ambient
-    # the slice's pair: largest d_i (n - d_i), then larger d_i, then earlier
-    fixed = sorted(range(d.length), reverse=True,
-                   key=lambda i: (d.dims[i] * (n - d.dims[i]), d.dims[i], -i))[:2]
+    # the slice's pair: largest d_i (n - d_i), then larger d_i, then earlier;
+    # every later entry in this order is fixed at the next block down from
+    # row a if it ends above the bottom block (never when the pair overlaps)
+    order = sorted(range(d.length), reverse=True,
+                   key=lambda i: (d.dims[i] * (n - d.dims[i]), d.dims[i], -i))
+    start = {order[0]: 0}
+    if d.length > 1:
+        row, end = d.dims[order[0]], n - d.dims[order[1]]
+        start[order[1]] = end
+        for i in order[2:]:
+            if row + d.dims[i] <= end:
+                start[i], row = row, row + d.dims[i]
     mats = []
     for i, di in enumerate(d.dims):
-        eye = np.eye(di, dtype=np.int64)
-        if i in fixed:
-            zero = np.zeros((n - di, di), dtype=np.int64)
-            mats.append(np.vstack([eye, zero] if i == fixed[0] else [zero, eye]))
+        if i in start:
+            mats.append(np.eye(n, di, k=-start[i], dtype=np.int64))
         else:
+            eye = np.eye(di, dtype=np.int64)
             mats.append(np.vstack([eye, rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)]))
     return GenericConfiguration(n, tuple(mats), prime)
 
@@ -159,7 +181,9 @@ def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
     for u in c.subspaces:
         support = np.flatnonzero(u.any(axis=1))
         if support.size == u.shape[1]:
-            forced[np.ix_(np.setdiff1d(np.arange(n), support), support)] = True
+            outside = np.ones(n, dtype=bool)
+            outside[support] = False
+            forced[np.ix_(outside, support)] = True
         else:
             charts.append(u)
     kept = np.flatnonzero(~forced.ravel())

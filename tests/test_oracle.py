@@ -15,7 +15,8 @@ P = 2_147_483_629
 
 def _full_system(c):
     """kron(Q_i, U_i^T) for every subspace, on all n^2 entries of g, with a
-    left annihilator Q_i of each chart [I; A] or coordinate [0; I] matrix."""
+    left annihilator Q_i of each chart [I; A] or coordinate block: the
+    identity rows outside the block's support."""
     n = c.ambient
     blocks = [np.zeros((0, n * n), dtype=np.int64)]
     for u in c.subspaces:
@@ -23,10 +24,29 @@ def _full_system(c):
         if (u[:d] == np.eye(d, dtype=np.int64)).all():
             q = np.hstack([-u[d:], np.eye(n - d, dtype=np.int64)])
         else:
-            q = np.eye(n - d, n, dtype=np.int64)
+            q = np.eye(n, dtype=np.int64)[~u.any(axis=1)]
         assert not (q @ u).any()
         blocks.append(np.kron(q, u.T))
     return np.vstack(blocks)
+
+
+def _two_block_configuration(d, prime, seed):
+    """The slice that fixes only the pair: [I; 0] and [0; I] for the two
+    entries with the largest d_i (n - d_i), and a chart point, drawn as
+    sample_configuration draws it, for every other entry."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, prime or 0]))
+    lo, hi = (0, prime) if prime else (-5000, 5001)
+    n = d.ambient
+    top, bottom = sorted(range(d.length), reverse=True,
+                         key=lambda i: (d.dims[i] * (n - d.dims[i]), d.dims[i], -i))[:2]
+    mats = []
+    for i, di in enumerate(d.dims):
+        if i in (top, bottom):
+            mats.append(np.eye(n, di, k=0 if i == top else di - n, dtype=np.int64))
+        else:
+            a = rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)
+            mats.append(np.vstack([np.eye(di, dtype=np.int64), a]))
+    return GenericConfiguration(n, tuple(mats), prime)
 
 
 def small_vectors():
@@ -41,12 +61,36 @@ class TestSampling:
         assert [u.shape for u in c.subspaces] == [(5, 1), (5, 2), (5, 2)]
         for u in c.subspaces:
             assert mod_rank(u.T, P) == u.shape[1]
-        # the two planes are fixed at span(e1, e2) and span(e4, e5); the point
-        # is a chart point [1; A]
+        # the two planes are fixed at span(e1, e2) and span(e4, e5), and the
+        # point, which still fits, at e3: a direct sum, with nothing to solve
         point, top, bottom = c.subspaces
-        assert point[0, 0] == 1
+        assert (point == np.eye(5, 1, k=-2, dtype=np.int64)).all()
         assert (top == np.eye(5, 2, dtype=np.int64)).all()
         assert (bottom == np.eye(5, 2, k=-3, dtype=np.int64)).all()
+        assert _stabilizer_system(c).shape == (0, 9)
+        assert stabilizer_nullity(c) == 9
+
+    def test_direct_sum_fixes_every_entry_that_fits(self):
+        # the pair is 5 at [0, 5) and the first 3 at [16, 19); the next three
+        # 3s fill [5, 14), the last two no longer fit and are chart points
+        c = sample_configuration(parse("3^6,5;19"), prime=P, seed=0)
+        s = c.subspaces
+        for i, start in [(6, 0), (0, 16), (1, 5), (2, 8), (3, 11)]:
+            assert (s[i] == np.eye(19, s[i].shape[1], k=-start, dtype=np.int64)).all()
+        for u in s[4:6]:
+            assert (u[:3] == np.eye(3, dtype=np.int64)).all() and u[3:].any()
+        # 48 equations per chart; 4 * 3 * 16 + 5 * 14 unknowns forced to 0
+        assert _stabilizer_system(c).shape == (2 * 48, 19 ** 2 - 4 * 3 * 16 - 5 * 14)
+
+    @pytest.mark.parametrize("text", ["12^2,13^2;25", "2,3;4", "15,14;30"])
+    @pytest.mark.parametrize("prime", [P, None])
+    def test_no_third_entry_keeps_two_blocks(self, text, prime):
+        # no third entry fits: the sample is the two-block one, draw for draw
+        d = parse(text)
+        c = sample_configuration(d, prime=prime, seed=2)
+        old = _two_block_configuration(d, prime, 2)
+        assert all(np.array_equal(x, y) for x, y in zip(c.subspaces, old.subspaces))
+        assert np.array_equal(_stabilizer_system(c), _stabilizer_system(old))
 
     def test_fixed_pair_prefers_larger_entry_on_ties(self):
         # d(n - d) = 156 for every entry; the two 13s are fixed, so the
@@ -128,12 +172,22 @@ class TestStabilizerNullity:
         ("9^3;27", 162), ("7^4;28", 294), ("12^2,13^2;25", 300),
     ])
     def test_benchmark_scale_matches_unordered_elimination(self, text, rank):
-        # the oracle-n30 benchmark vectors, against elimination in the
-        # row-major column order of g
-        c = sample_configuration(parse(text), prime=P, seed=1)
+        # the oracle-n30 benchmark vectors on the two-block slice, against
+        # elimination in the row-major column order of g
+        c = _two_block_configuration(parse(text), P, 1)
         m = _stabilizer_system(c)
         assert _eliminate(m % P, P) == rank
         assert stabilizer_nullity(c) == m.shape[1] - rank
+
+    @pytest.mark.parametrize("text, cols", [
+        ("10^3;30", 300), ("5^5;30", 275), ("1^10;30", 610), ("15,14;30", 451),
+        ("9^3;27", 243), ("7^4;28", 196),
+    ])
+    def test_benchmark_scale_direct_sums_need_no_elimination(self, text, cols):
+        d = parse(text)
+        c = sample_configuration(d, prime=P, seed=1)
+        assert _stabilizer_system(c).shape == (0, cols)
+        assert stabilizer_nullity(c) - 1 == d.expected_stab_dim
 
     def test_overflowing_prime_rejected(self):
         # (1^2,2^2;3) is sparse, stabilizer dim 1; over 2^61 - 1 the int64
@@ -284,3 +338,19 @@ class TestGenericConfiguration:
         with pytest.raises(ValueError):
             GenericConfiguration(4, (np.array([[2], [0], [0], [1]], dtype=np.int64),), P)
         GenericConfiguration(4, (np.eye(4, 2, k=-2, dtype=np.int64),), P)
+
+    def test_accepts_coordinate_block_anywhere(self):
+        for start in range(4):
+            GenericConfiguration(5, (np.eye(5, 2, k=-start, dtype=np.int64),), P)
+        # a chart whose A is zero is the top block
+        GenericConfiguration(5, (np.eye(5, 2, dtype=np.int64),), None)
+
+    def test_rejects_other_coordinate_matrices(self):
+        permuted = np.eye(5, 2, k=-1, dtype=np.int64)[:, ::-1]
+        stray = np.eye(5, 2, k=-1, dtype=np.int64)
+        stray[4, 0] = 3
+        scaled = 2 * np.eye(5, 2, k=-2, dtype=np.int64)
+        cut_off = np.eye(5, 2, k=-4, dtype=np.int64)  # rank 1: runs past row n
+        for u in (permuted, stray, scaled, cut_off):
+            with pytest.raises(ValueError, match="coordinate block"):
+                GenericConfiguration(5, (u,), P)
