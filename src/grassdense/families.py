@@ -190,10 +190,10 @@ def classify_size(l: int) -> SizeClassification:
     """
     if not 1 <= l <= 5:
         raise ValueError("classification supported for sizes 1..5")
-    # size-table lookups are exactly what this recomputes, so the engine runs
-    # without them and falls back to the sampling oracle (5 samples, fixed
-    # seed) for anything left undecided
-    eng = Engine(use_size_table=False)
+    # the engine tries the Balanced rule too, as the goldens were built, and
+    # falls back to the sampling oracle (5 samples, fixed seed) for anything
+    # left undecided
+    eng = Engine(with_balanced=True)
 
     def is_dense(d: DimensionVector) -> bool:
         return eng.decide_with_oracle(d, samples=5, seed=20260815).status is Status.DENSE

@@ -10,7 +10,9 @@ relates it to smaller vectors:
 The rule_id strings are the stable wire format used in certificate JSON; the
 short L* names are opaque labels for the reduction rules.  BASE_RULES and
 REDUCTION_RULES, at the end, are the rule registry: dict order is the
-engine's search order, and every registered rule is called as fn(v).  A
+engine's search order, and every registered rule is called as fn(v).  Only
+an Engine(with_balanced=True), the one classify_size builds, tries Balanced;
+it stays registered so that certificates naming it still re-fire.  A
 reduction returns every step it finds, repeats included: the engine answers
 a repeated child from its memo or its visited set.
 
@@ -38,7 +40,6 @@ L8 = "L8"
 L9 = "L9"
 L10 = "L10"
 LENGTH4 = "Length4"
-SIZE_TABLE = "SizeTable"
 BALANCED = "Balanced"
 EXCESS_L1 = "ExcessL1"
 DOMINATION = "Domination"
@@ -155,71 +156,6 @@ def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
     return None
 
 
-# -- size-table data --------------------------------------------------------
-
-# Dense vectors of size 2 with excess >= 3 (complete finite tail).
-_TAIL2 = frozenset(parse(s) for s in ("(2^3;3)", "(1,2^3;3)", "(2^4;3)", "(1,2^3;4)", "(2^4;5)"))
-
-# Dense vectors of size 3 with total >= n+4 (complete finite tail: the
-# bullet predicates below cover total <= n+3, and an exhaustive
-# oracle-verified sweep over n <= 12 plus the excess bound
-# sum (k+1-i)*i*e_i <= k(k+2) shows no others exist).
-_TAIL3 = frozenset(parse(s) for s in (
-    "(2,3^2;4)", "(3^3;4)", "(1,2,3^2;4)", "(1,3^3;4)", "(2^3,3;4)",
-    "(2^2,3^2;4)", "(2,3^3;4)", "(3^4;4)", "(1,3^4;4)", "(3^5;4)",
-    "(3^3;5)", "(1,2,3^2;5)", "(2^3,3;5)", "(2,3^3;5)", "(3^4;5)",
-    "(1,3^3;6)", "(2^2,3^2;6)", "(2,3^3;6)",
-    "(2,3^3;7)", "(3^4;7)",
-    "(3^4;8)", "(1,3^4;9)", "(3^5;11)",
-))
-
-
-def _size_table_verdict(v: DimensionVector) -> Optional[tuple[bool, str]]:
-    """(dense?, category) from the embedded size-<=4 classification, or None
-    where the table is not complete (size 4 with total >= n+5)."""
-    n, total = v.ambient, v.total
-    mult = Counter(v.dims)
-    a, b, c = mult[1], mult[2], mult[3]
-    size = v.size
-    if size == 1:
-        return v.length <= n + 1, "points"
-    if total <= n + 1:
-        return True, "total<=n+1"
-    if total == n + 2:
-        return a <= 3, "total=n+2"
-    if total == n + 3:
-        return a + b <= 4 and (a, b) != (2, 2), "total=n+3"
-    if size == 2:
-        return v in _TAIL2, "tail"
-    if size == 3:
-        return v in _TAIL3, "tail"
-    # size 4
-    if total == n + 4:
-        # reduces to (1^a,2^b,3^c;4); its density in closed form:
-        dense = (a + b + c <= 3
-                 or (a + b + c == 4 and a + 2 * b + 3 * c != 8)
-                 or (a + c == 5 and b == 0 and (a <= 1 or c <= 1)))
-        return dense, "total=n+4"
-    return None  # size-4 finite tail: left to the engine's search
-
-
-def rule_size_table(d: DimensionVector) -> Optional[RewriteStep]:
-    """Complete classification lookup for vectors of size <= 3 (any n) and
-    size 4 with total <= n+4, applied to whichever of d / complement has the
-    smaller size."""
-    sides = sorted((("self", d), ("complement", d.complement())), key=lambda sv: sv[1].size)
-    for side, v in sides:
-        if v.size > 4:
-            continue
-        res = _size_table_verdict(v)
-        if res is None:
-            continue
-        dense, category = res
-        return _step(SIZE_TABLE, BASE_DENSE if dense else BASE_SPARSE, d, (),
-                     side=side, size=v.size, category=category)
-    return None
-
-
 # -- balanced vectors -------------------------------------------------------
 
 _BALANCED_SPORADIC = frozenset(
@@ -243,7 +179,10 @@ def rule_balanced(d: DimensionVector) -> Optional[RewriteStep]:
     complement-invariant condition) are dense exactly when not trivially
     sparse, except for the length-4 total-2n case and the finitely many
     sporadic families; the latter are detected by closing under the
-    span-intersect reduction (L9) and complements and testing membership."""
+    span-intersect reduction (L9) and complements and testing membership.
+
+    Unsound: the oracle refutes some of its Dense verdicts, e.g. (1^5,3;6)
+    and (3^6,5;19), so decide's engine never tries it."""
     if d.size - d.dims[0] > 2:
         return None
     if d.is_trivially_sparse:
@@ -377,7 +316,6 @@ def rule_complement(d: DimensionVector) -> RewriteStep:
 BASE_RULES = {
     TRIVIALLY_SPARSE: rule_trivially_sparse,
     LENGTH4: rule_length4,
-    SIZE_TABLE: rule_size_table,
     BALANCED: rule_balanced,
     SUBSEQ_2N: rule_subseq_2n,
 }

@@ -214,10 +214,7 @@ def _chain_is_certificate_prefix(cert, chain) -> bool:
 
 def test_criterion_05_hand_worked_reduction_chains():
     verdict_bad = []
-    path_hits = reduction_hits = 0
-    # the closed-form tables usually preempt these roots; also count path
-    # matches with the shortcuts off so the reduction routes stay exercised
-    bare = Engine(use_size_table=False)
+    path_hits = 0
     for chain_text, want in CHAINS:
         chain = [parse(s) for s in chain_text]
         verdict = decide(chain[0])
@@ -226,13 +223,9 @@ def test_criterion_05_hand_worked_reduction_chains():
             continue
         if _chain_is_certificate_prefix(verdict.certificate, chain):
             path_hits += 1
-        if _chain_is_certificate_prefix(bare.decide(chain[0]).certificate, chain):
-            reduction_hits += 1
     _report(5, not verdict_bad,
             f"verdicts {len(CHAINS) - len(verdict_bad)}/{len(CHAINS)}, "
-            f"certificate paths matched {path_hits}/{len(CHAINS)} "
-            f"(default order), {reduction_hits}/{len(CHAINS)} with table "
-            f"shortcuts disabled"
+            f"certificate paths matched {path_hits}/{len(CHAINS)}"
             + (f"; wrong: {verdict_bad}" if verdict_bad else ""))
 
 

@@ -292,13 +292,14 @@ class TestCache:
         assert any(label in out for label in RULE_LABELS.values())
 
     def test_cached_trace_matches_fresh(self, capsys):
-        # a two-step chain whose steps carry tuple params, which the cache
-        # stores as JSON lists
+        # a chain whose steps carry tuple params, which the cache stores as
+        # JSON lists
         _, fresh, _ = run(capsys, "decide", "1,2,2,4,4;5", "--trace")
         _, cached, _ = run(capsys, "decide", "1,2,2,4,4;5", "--trace")
         assert "(cached)" in cached and "(cached)" not in fresh
         steps = fresh.splitlines()[1:]
-        assert len(steps) == 3 and "subset=(3, 3, 4)" in fresh
+        assert len(steps) == 4 and "subset=(3, 3, 4)" in fresh
+        assert "length-4 table" in steps[-1]
         assert cached.splitlines()[1:] == steps
 
     def test_complement_served_its_own_record(self, capsys):

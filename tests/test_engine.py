@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,8 +152,8 @@ def test_history_independent():
 
 
 class TestEngineFlags:
-    def test_size_table_disabled_still_correct(self):
-        eng = Engine(use_size_table=False)
+    def test_balanced_enabled_still_correct(self):
+        eng = Engine(with_balanced=True)
         for text, want in FROZEN.items():
             v = eng.decide(parse(text))
             if v.status is not Status.UNKNOWN:
@@ -176,24 +177,23 @@ class TestBalancedTripwire:
         assert r.verdict_class is VerdictClass.MONTE_CARLO_SPARSE
         assert (r.stab_dim, r.expected) == (stab, expected)
 
-    @pytest.mark.xfail(strict=True, reason="the Balanced rule is unsound (ROADMAP item 2)")
     @pytest.mark.parametrize("text", [text for text, _, _ in BALANCED_REFUTED])
     def test_decide_sparse(self, text):
         assert decide(parse(text)).status is Status.SPARSE
 
 
-# Vectors the oracle refutes that decide calls Sparse only because SizeTable
-# fires before Balanced; the table-free engine of classify_size reaches a
-# Balanced leaf and calls them Dense.
-SIZE_TABLE_HIDES = [
+# Vectors the oracle refutes that decide calls Sparse but the engine of
+# classify_size, which also tries Balanced, reaches a Balanced leaf and calls
+# Dense.
+CLASSIFY_ENGINE_REFUTED = [
     ("(1^5,3;6)", 3, 1),
     ("(1^4,2,3;7)", 3, 2),
     ("(1^3,3,5^2;10)", 3, 1),
 ]
 
 
-class TestSizeTableHidesBalanced:
-    @pytest.mark.parametrize("text,stab,expected", SIZE_TABLE_HIDES)
+class TestClassifyEngineBalanced:
+    @pytest.mark.parametrize("text,stab,expected", CLASSIFY_ENGINE_REFUTED)
     def test_decide_sparse_and_oracle_refutes_dense(self, text, stab, expected):
         assert decide(parse(text)).status is Status.SPARSE
         r = oracle_decide(parse(text), samples=2, seed=5)
@@ -201,9 +201,58 @@ class TestSizeTableHidesBalanced:
         assert (r.stab_dim, r.expected) == (stab, expected)
 
     @pytest.mark.xfail(strict=True, reason="the Balanced rule is unsound (ROADMAP item 2)")
-    @pytest.mark.parametrize("text", [text for text, _, _ in SIZE_TABLE_HIDES])
-    def test_table_free_engine_sparse(self, text):
-        assert Engine(use_size_table=False).decide(parse(text)).status is Status.SPARSE
+    @pytest.mark.parametrize("text", [text for text, _, _ in CLASSIFY_ENGINE_REFUTED])
+    def test_balanced_engine_sparse(self, text):
+        assert Engine(with_balanced=True).decide(parse(text)).status is Status.SPARSE
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+
+class TestVerdictTable:
+    # oracle verdicts (3 samples, seed 1) on every canonical, not trivially
+    # sparse vector with n <= 10 and length <= 8; golden/verdicts_n10.py
+    # writes the table
+    TABLE = [tuple(line.split()) for line in
+             (GOLDEN / "verdicts_n10.txt").read_text().splitlines()]
+
+    def test_table_covers_every_vector(self):
+        want = [str(v) for v in enumerate_vectors(10, 8)
+                if v == v.canonical() and not v.is_trivially_sparse]
+        assert [text for text, _ in self.TABLE] == want and len(want) == 3492
+
+    def test_engine_matches_every_line(self):
+        eng = Engine()
+        wrong = [(text, want, status.value) for text, want in self.TABLE
+                 if (status := eng.decide(parse(text)).status).value != want]
+        assert wrong == []
+
+    def test_sample_rederived_by_oracle(self):
+        # the table is the oracle's, not the engine's
+        sample = self.TABLE[::70]
+        assert len(sample) == 50
+        for text, want in sample:
+            dense = oracle_decide(parse(text), samples=3, seed=1).is_dense
+            assert ("Dense" if dense else "Sparse") == want, text
+
+
+def test_domination_never_fires_in_decide(monkeypatch):
+    # Without Balanced the only sparse seeds beyond the dimension count come
+    # from SubseqTwoN, and a subset of a seed (or of its complement) is a
+    # subset of every vector dominating it (or of that vector's complement),
+    # so SubseqTwoN settles such a vector before domination is tried.
+    steps = []
+    real = R.rule_domination_sparse
+
+    def spy(d, known_sparse):
+        steps.append(real(d, known_sparse))
+        return steps[-1]
+
+    monkeypatch.setattr(R, "rule_domination_sparse", spy)
+    eng = Engine()
+    for v in enumerate_vectors(8, 9):
+        eng.decide(v)
+    assert steps and not any(steps)
 
 
 class TestVerifyCertificate:
@@ -251,7 +300,7 @@ class TestVerifyCertificate:
 
     def test_cross_engine_verification(self):
         # certificates verify without access to the engine that made them
-        cert = Engine(use_size_table=False).decide(parse("1,1,1,2,3,5;8")).certificate
+        cert = Engine(with_balanced=True).decide(parse("1,1,1,2,3,5;8")).certificate
         assert verify_certificate(cert)
 
 

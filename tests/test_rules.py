@@ -103,62 +103,6 @@ class TestSubseqTwoN:
             assert not Counter(p["subset"]) - Counter(side.dims)
 
 
-class TestSizeTable:
-    @pytest.mark.parametrize("text,dense", [
-        ("1,1,1,2,2;7", True),       # total <= n+1
-        ("1,1,1,1,2,2;6", False),    # total = n+2, four 1s
-        ("1,1,1,2,2;6", True),       # total = n+2, three 1s
-        ("2,2,2,2;5", True),         # total = n+3, (a,b)=(0,4)
-        ("1,1,2,2;4", True),         # total = n+2, two 1s
-        ("1,1,2,2;3", False),        # total = n+3, (a,b)=(2,2) excluded
-        ("2,2,2;3", True),           # tail
-        ("1,2,2,2;3", True),         # tail
-        ("2,2,2,2;3", True),         # tail
-        ("1,2,2,2;4", True),         # tail
-        ("1,1,2,2,2;4", False),      # not in tail
-        ("1,3,3,3;5", False),        # size-3: printed lists wrongly call this dense
-        ("3,3,3,3;7", True),         # size-3 tail
-        ("2,2,3,3;4", True),         # size-3 tail
-        ("3,3,3,3,3;4", True),       # size-3 tail
-        ("3,3,3,3;8", True),
-        ("3,3,3,3,3;11", True),      # size-3 tail, largest member
-        ("3,3,3,3,3;12", True),      # excess 3: vacuous profile
-        ("3,3,3,3,3;10", False),     # excess 5: not in tail
-        ("1,3,3,3,3;9", True),
-        ("1,1,3,3,3,3;9", False),
-    ])
-    def test_verdicts(self, text, dense):
-        s = R.rule_size_table(parse(text))
-        assert s is not None
-        assert (s.direction == R.BASE_DENSE) == dense
-
-    def test_size4_bullet(self):
-        assert R.rule_size_table(parse("1,2,3,4;6")).direction == R.BASE_DENSE
-        # (1,2^2,3,4;8): total n+4, profile a+2b+3c = 8 -> sparse
-        assert R.rule_size_table(parse("1,2,2,3,4;8")).direction == R.BASE_SPARSE
-
-    def test_size4_deep_excess_defers(self):
-        # size 4 on both sides is out of table range past total n+4
-        assert R.rule_size_table(parse("4,4,4,4,4;9")) is None
-
-    def test_size4_uses_small_complement(self):
-        # (4^4;5) itself has total n+11, but its complement (1^4;5) is size 1
-        s = R.rule_size_table(parse("4,4,4,4;5"))
-        assert s.direction == R.BASE_DENSE and s.params_dict()["side"] == "complement"
-
-    def test_dispatches_to_smaller_side(self):
-        s = R.rule_size_table(parse("2,3,3;4"))
-        assert s.params_dict()["side"] == "complement"
-        assert s.direction == R.BASE_DENSE
-
-    @given(vectors(max_n=7, max_len=6))
-    @settings(max_examples=50, deadline=None)
-    def test_agrees_with_oracle(self, d):
-        s = R.rule_size_table(d)
-        if s is not None:
-            assert (s.direction == R.BASE_DENSE) == _dense(d)
-
-
 class TestBalanced:
     def test_requires_window(self):
         assert R.rule_balanced(parse("1,1,4,4;6")) is None
