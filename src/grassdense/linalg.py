@@ -10,18 +10,30 @@ mod_rank takes columns sparsest first: the oracle's stabilizer systems have
 invariant under column permutation, so the order changes the cost only.
 Fraction-free Bareiss elimination is the slow exact rank over Q for small
 instances.
+
+Primality is deterministic Miller-Rabin.  Below 4,759,123,141, which covers
+every elimination prime, the witnesses 2, 7 and 61 suffice (Jaeschke, On
+strong pseudoprimes to several bases, Math. Comp. 61, 1993); above it the
+twelve primes up to 37 are used, which suffice for all n < 2^64
+(Sorenson and Webster, Strong pseudoprimes to twelve prime bases, Math.
+Comp. 86, 2017).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Smallest witness set that makes Miller-Rabin deterministic for all n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_SMALL_BASES = (2, 7, 61)
+_MR_SMALL_LIMIT = 4_759_123_141
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic for n < 2^64 (fixed witness set), Miller-Rabin above."""
+    """Deterministic for n < 2^64, Miller-Rabin above.
+
+    Witnesses 2, 7, 61 below 4,759,123,141 (Jaeschke 1993), else the primes
+    up to 37 (Sorenson-Webster 2017).  A witness divisible by n is skipped:
+    it says nothing, and would call 61 composite."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -31,7 +43,9 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_SMALL_BASES if n < _MR_SMALL_LIMIT else _MR_BASES:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -102,10 +102,10 @@ class GenericConfiguration:
             if u.ndim != 2 or u.shape[0] != self.ambient:
                 raise ValueError(f"subspace matrix shape {u.shape} does not match n={self.ambient}")
             d = u.shape[1]
+            if d <= self.ambient and (u[:d] == np.eye(d, dtype=np.int64)).all():
+                continue  # a chart [I; A]
             rows = np.flatnonzero(u.any(axis=1))
-            chart = np.array_equal(u[:d], np.eye(d, dtype=np.int64))
-            block = rows.size == d > 0 and np.array_equal(u, np.eye(self.ambient, d, k=-rows[0]))
-            if not (chart or block):
+            if not (rows.size == d > 0 and np.array_equal(u, np.eye(self.ambient, d, k=-rows[0]))):
                 raise ValueError("subspace matrix is neither a chart [I; A] nor a coordinate block")
 
 
@@ -179,11 +179,9 @@ def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
     forced = np.zeros((n, n), dtype=bool)
     charts = []
     for u in c.subspaces:
-        support = np.flatnonzero(u.any(axis=1))
-        if support.size == u.shape[1]:
-            outside = np.ones(n, dtype=bool)
-            outside[support] = False
-            forced[np.ix_(outside, support)] = True
+        inside = u.any(axis=1)
+        if np.count_nonzero(inside) == u.shape[1]:
+            forced |= np.outer(~inside, inside)
         else:
             charts.append(u)
     kept = np.flatnonzero(~forced.ravel())

@@ -24,6 +24,79 @@ class TestPrimes:
             assert 2**30 < p < 2**31
             assert is_probable_prime(p)
 
+    def test_agrees_with_sieve(self):
+        # covers 61, a witness of the 3-base test that must not refute itself
+        limit = 200_000
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        assert [n for n in range(limit) if is_probable_prime(n)] == np.flatnonzero(sieve).tolist()
+
+    def test_witness_set_edges(self):
+        assert is_probable_prime(61)
+        assert is_probable_prime(2**31 - 1)
+        # the least strong pseudoprime to 2, 3, 5 and 7
+        assert _strong_probable_prime(3_215_031_751, (2, 3, 5, 7))
+        assert not is_probable_prime(3_215_031_751)
+        # 48,781 * 97,561: the least strong pseudoprime to 2, 7 and 61, so it
+        # needs the twelve-base witness set
+        assert 48_781 * 97_561 == 4_759_123_141
+        assert _strong_probable_prime(4_759_123_141, (2, 7, 61))
+        assert not is_probable_prime(4_759_123_141)
+
+    def test_agrees_with_twelve_bases_near_the_limit(self):
+        rng = np.random.default_rng(20260815)
+        for n in rng.integers(2**30, 2**33, size=20_000).tolist():
+            n |= 1
+            assert is_probable_prime(n) == _reference_is_prime(n), n
+
+    def test_random_prime_matches_reference_sampler(self):
+        # the draws oracle_decide makes for its default primes, seeds 0..199
+        def reference(rng):
+            while True:
+                c = int(rng.integers(2**30 + 1, 2**31)) | 1
+                if _reference_is_prime(c):
+                    return c
+
+        for s in range(200):
+            seed = np.random.SeedSequence([s, 0xA11CE])
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert [random_prime(ours) for _ in range(3)] == [reference(ref) for _ in range(3)]
+
+
+_TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(n, bases):
+    """n (odd, > 1, prime to every base) passes the strong test to each base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _reference_is_prime(n):
+    """Miller-Rabin with the twelve primes up to 37 for every n, as the
+    primality test ran before it took three witnesses below 4,759,123,141."""
+    if n < 2:
+        return False
+    for p in _TWELVE_BASES:
+        if n % p == 0:
+            return n == p
+    return _strong_probable_prime(n, _TWELVE_BASES)
+
 
 class TestModular:
     def test_rank_identity(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grassdense import oracle
 from grassdense.core import DimensionVector, parse
@@ -291,6 +292,20 @@ class TestOracleDecide:
         q = oracle_decide(d, samples=1, seed=4, primes=[None])
         assert m.stab_dim == q.stab_dim
 
+    # recorded with the twelve-witness primality test, before the oracle took
+    # three witnesses below 4,759,123,141: the default primes at seeds 1..3
+    # and the one-sample stabilizer dims of the oracle-n30 benchmark vectors
+    N30_PRIMES = {1: (1734631883, 1078790287), 2: (2091625421, 1125676723),
+                  3: (2046887833, 1443561671)}
+    N30_STAB_DIMS = {"10^3;30": 299, "5^5;30": 274, "1^10;30": 609, "15,14;30": 450,
+                     "9^3;27": 242, "7^4;28": 195, "12^2,13^2;25": 12}
+
+    @pytest.mark.parametrize("text", list(N30_STAB_DIMS))
+    def test_benchmark_answers_pinned(self, text):
+        for seed, primes in self.N30_PRIMES.items():
+            r = oracle_decide(parse(text), samples=1, seed=seed)
+            assert (r.primes, r.stab_dims) == (primes, ((primes[0], self.N30_STAB_DIMS[text]),))
+
 
 def _script_stabs(monkeypatch, stabs):
     """Make oracle_decide see these stabilizer dimensions, in order."""
@@ -329,6 +344,82 @@ class TestAnomalies:
         assert not r.is_dense and r.stab_dim == 3 and r.anomalies == ()
 
 
+def _eager_check(n, subspaces):
+    """Reference for GenericConfiguration's validation that runs both the
+    chart and the block test on every matrix: the error message, or None."""
+    for u in subspaces:
+        if u.ndim != 2 or u.shape[0] != n:
+            return f"subspace matrix shape {u.shape} does not match n={n}"
+        d = u.shape[1]
+        rows = np.flatnonzero(u.any(axis=1))
+        chart = np.array_equal(u[:d], np.eye(d, dtype=np.int64))
+        block = rows.size == d > 0 and np.array_equal(u, np.eye(n, d, k=-rows[0]))
+        if not (chart or block):
+            return "subspace matrix is neither a chart [I; A] nor a coordinate block"
+    return None
+
+
+def _ix_system(c):
+    """Reference for _stabilizer_system that sets the forced entries through
+    np.ix_ on each coordinate block's support and its complement."""
+    n = c.ambient
+    forced = np.zeros((n, n), dtype=bool)
+    charts = []
+    for u in c.subspaces:
+        support = np.flatnonzero(u.any(axis=1))
+        if support.size == u.shape[1]:
+            outside = np.ones(n, dtype=bool)
+            outside[support] = False
+            forced[np.ix_(outside, support)] = True
+        else:
+            charts.append(u)
+    kept = np.flatnonzero(~forced.ravel())
+    blocks = [np.zeros((0, kept.size), dtype=np.int64)]
+    for u in charts:
+        a = u[u.shape[1] :]
+        q = np.hstack([-a, np.eye(a.shape[0], dtype=np.int64)])
+        blocks.append(np.kron(q, u.T)[:, kept])
+    return np.vstack(blocks)
+
+
+@st.composite
+def subspace_matrices(draw, n):
+    """An n x d chart [I; A], a chart with A = 0 or a coordinate block at any
+    start, then maybe damaged: one stray entry, scaled, its rows or columns
+    permuted, transposed, a unit column appended (n + 1 columns at d = n), or
+    replaced by a block that runs past row n."""
+    d = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["chart", "zero chart", "block"]))
+    if kind == "block":
+        u = np.eye(n, d, k=-draw(st.integers(0, n - d)), dtype=np.int64)
+    else:
+        a = draw(arrays(np.int64, (n - d, d), elements=st.integers(-3, 3)))
+        u = np.vstack([np.eye(d, dtype=np.int64), a if kind == "chart" else 0 * a])
+    damage = draw(st.sampled_from(["none", "stray", "scale", "rows", "columns", "transpose",
+                                   "extra column", "past row n"]))
+    if damage == "stray" and d:
+        u[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] += draw(st.sampled_from([-2, 1, 3]))
+    elif damage == "scale":
+        u = u * draw(st.sampled_from([-1, 0, 2]))
+    elif damage == "rows":
+        u = u[draw(st.permutations(range(n)))]
+    elif damage == "columns":
+        u = u[:, draw(st.permutations(range(d)))]
+    elif damage == "transpose":
+        u = u.T.copy()
+    elif damage == "extra column":
+        u = np.hstack([u, np.eye(n, 1, k=-draw(st.integers(0, n - 1)), dtype=np.int64)])
+    elif damage == "past row n" and d:
+        u = np.eye(n, d, k=-draw(st.integers(n - d + 1, n)), dtype=np.int64)
+    return u
+
+
+@st.composite
+def subspace_tuples(draw):
+    n = draw(st.integers(1, 7))
+    return n, tuple(draw(st.lists(subspace_matrices(n), min_size=1, max_size=3)))
+
+
 class TestGenericConfiguration:
     def test_validates_shapes(self):
         with pytest.raises(ValueError):
@@ -354,3 +445,34 @@ class TestGenericConfiguration:
         for u in (permuted, stray, scaled, cut_off):
             with pytest.raises(ValueError, match="coordinate block"):
                 GenericConfiguration(5, (u,), P)
+
+    @given(subspace_tuples())
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdicts_as_eager_check(self, case):
+        n, subspaces = case
+        try:
+            GenericConfiguration(n, subspaces, P)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert message == _eager_check(n, subspaces)
+
+
+class TestForcedMask:
+    @pytest.mark.parametrize("prime", [P, None])
+    @pytest.mark.parametrize("text", ["12^2,13^2;25", "5^5;30", "3^6,5;19", "2,3;4", "1^5,3;6"])
+    def test_matches_index_construction(self, text, prime):
+        for seed in range(3):
+            c = sample_configuration(parse(text), prime=prime, seed=seed)
+            m, ref = _stabilizer_system(c), _ix_system(c)
+            assert m.shape == ref.shape and (m == ref).all()
+
+    @given(small_vectors(), st.sampled_from([P, None]), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_index_construction_random(self, d, prime, seed):
+        configurations = [sample_configuration(d, prime=prime, seed=seed)]
+        if d.length > 1:
+            configurations.append(_two_block_configuration(d, prime, seed))
+        for c in configurations:
+            m, ref = _stabilizer_system(c), _ix_system(c)
+            assert m.shape == ref.shape and (m == ref).all()
