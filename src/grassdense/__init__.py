@@ -9,7 +9,7 @@ explicit generic configurations.  The engine has no process-wide instance:
 a caller holds an Engine, e.g. Engine().decide(d), and its memo with it.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .core import (
     AmbientMismatchError,

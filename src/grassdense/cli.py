@@ -50,7 +50,6 @@ RULE_LABELS = {
     rules.L9: "span intersect",
     rules.L10: "intersection swap",
     rules.LENGTH4: "length-4 table",
-    rules.BALANCED: "balanced window",
     rules.EXCESS_L1: "excess collapse",
     rules.DOMINATION: "dominates sparse",
     rules.COMPLEMENT: "complement",

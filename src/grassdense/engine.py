@@ -1,7 +1,8 @@
 """Decision engine: decide density by searching the rewrite rules.
 
 The engine runs a depth-first search over canonical forms (lex-smaller of a
-vector and its complement).  Base rules, the dimension count first, settle a
+vector and its complement).  Every Engine searches the same registered
+rules; it takes no options.  Base rules, the dimension count first, settle a
 vector outright; Iff reductions recurse into a smaller vector; the one
 SparseIf edge, domination of a known sparse vector, can only propagate
 sparseness upward.  Dense / Sparse verdicts are memoized for the lifetime of
@@ -11,8 +12,9 @@ searches again.  A call searches at most NODE_BUDGET nodes.
 
 Every settled verdict carries a Certificate: a chain of rewrite steps from
 the queried vector down to a leaf (a base-rule hit or a vacuous rewrite).
-verify_certificate re-fires every step independently of the engine, so
-certificates are checkable artifacts.
+verify_certificate re-fires every step independently of the engine, and
+calls a step of an unregistered rule malformed, so certificates are
+checkable artifacts.
 """
 
 from __future__ import annotations
@@ -54,17 +56,14 @@ DOMINATION_LEN_CAP = 6
 
 
 class Engine:
-    """Rule search with a memo of settled verdicts.  with_balanced also tries
-    the Balanced base rule, which the oracle refutes on some vectors; only
-    classify_size sets it, so that its output matches golden/.  Each decide
-    call searches at most NODE_BUDGET nodes and visits each canonical form
-    at most once: a form already visited in the call and not in the memo is
-    in progress or failed, so it answers Unknown.  A repeated step costs no
+    """Rule search with a memo of settled verdicts.  Each decide call
+    searches at most NODE_BUDGET nodes and visits each canonical form at
+    most once: a form already visited in the call and not in the memo is in
+    progress or failed, so it answers Unknown.  A repeated step costs no
     node: the first try left its child in the memo, in the visited set, or
     past the budget."""
 
-    def __init__(self, with_balanced: bool = False):
-        self.with_balanced = with_balanced
+    def __init__(self):
         self.memo: dict[DimensionVector, Verdict] = {}
         self._seed_cache: dict[int, tuple[DimensionVector, ...]] = {}
         self.last_nodes = 0
@@ -92,10 +91,8 @@ class Engine:
         return out
 
     def _base_step(self, v: DimensionVector) -> Optional[RewriteStep]:
-        """The step of the first enabled base rule that settles v."""
-        for rid, fn in rules.BASE_RULES.items():
-            if rid == rules.BALANCED and not self.with_balanced:
-                continue
+        """The step of the first base rule that settles v."""
+        for fn in rules.BASE_RULES.values():
             step = fn(v)
             if step is not None:
                 return step
@@ -153,7 +150,7 @@ class Engine:
         sides = ((rep, ()), (comp, (rules.rule_complement(rep),)))
 
         step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
-        if step is not None and step.params_dict().get("strict"):
+        if step is not None:
             child = self._decide_rec(step.outputs[0], state)
             if child.status is Status.SPARSE:
                 return self._settle(rep, Status.SPARSE,

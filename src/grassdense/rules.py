@@ -10,11 +10,12 @@ relates it to smaller vectors:
 The rule_id strings are the stable wire format used in certificate JSON; the
 short L* names are opaque labels for the reduction rules.  BASE_RULES and
 REDUCTION_RULES, at the end, are the rule registry: dict order is the
-engine's search order, and every registered rule is called as fn(v).  Only
-an Engine(with_balanced=True), the one classify_size builds, tries Balanced;
-it stays registered so that certificates naming it still re-fire.  A
-reduction returns every step it finds, repeats included: the engine answers
-a repeated child from its memo or its visited set.
+engine's search order, every registered rule is called as fn(v), and
+verify_certificate re-fires registered rules only.  The width-2 window check
+of classify_size is not a rule: the oracle refutes some of its verdicts, so
+no certificate can name it.  A reduction returns every step it finds,
+repeats included: the engine answers a repeated child from its memo or its
+visited set.
 
 A rewrite may produce a vector all of whose entries drop during
 normalization ("vacuous": the configuration degenerates to a point, which is
@@ -31,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DimensionVector, VacuousVectorError, normalize, parse
+from .core import DimensionVector, VacuousVectorError, normalize
 
 # rule_id wire strings
 L3 = "L3"
@@ -40,7 +41,6 @@ L8 = "L8"
 L9 = "L9"
 L10 = "L10"
 LENGTH4 = "Length4"
-BALANCED = "Balanced"
 EXCESS_L1 = "ExcessL1"
 DOMINATION = "Domination"
 COMPLEMENT = "Complement"
@@ -156,73 +156,25 @@ def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
     return None
 
 
-# -- balanced vectors -------------------------------------------------------
-
-_BALANCED_SPORADIC = frozenset(
-    parse(s).canonical() for s in ("(1^3,3^2;4)", "(1^4,3;5)", "(1^3,3^2;5)")
-)
-
-
-def _is_balanced_target(v: DimensionVector) -> bool:
-    for w in (v, v.complement()):
-        if w.canonical() in _BALANCED_SPORADIC:
-            return True
-        m = Counter(w.dims)
-        c = m[3]
-        if m[1] == 2 and m[2] == 2 and w.length == 4 + c and w.ambient == 3 * c + 3:
-            return True
-    return False
-
-
-def rule_balanced(d: DimensionVector) -> Optional[RewriteStep]:
-    """Vectors whose entries span a window of width <= 2 (max - min <= 2, a
-    complement-invariant condition) are dense exactly when not trivially
-    sparse, except for the length-4 total-2n case and the finitely many
-    sporadic families; the latter are detected by closing under the
-    span-intersect reduction (L9) and complements and testing membership.
-
-    Unsound: the oracle refutes some of its Dense verdicts, e.g. (1^5,3;6)
-    and (3^6,5;19), so decide's engine never tries it."""
-    if d.size - d.dims[0] > 2:
-        return None
-    if d.is_trivially_sparse:
-        return _step(BALANCED, BASE_SPARSE, d, (), reason="trivially-sparse")
-    if d.length == 4 and d.total == 2 * d.ambient:
-        return _step(BALANCED, BASE_SPARSE, d, (), reason="length4-2n")
-    seen: set[DimensionVector] = set()
-    stack = [d.canonical()]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        if _is_balanced_target(v):
-            return _step(BALANCED, BASE_SPARSE, d, (), reason="sporadic-family")
-        for w in (v, v.complement()):
-            for st in rule_span_intersect(w):
-                for out in st.outputs:
-                    stack.append(out.canonical())
-    return _step(BALANCED, BASE_DENSE, d, (), reason="not-trivially-sparse")
-
-
 def rule_domination_sparse(d: DimensionVector,
                            known_sparse: frozenset[DimensionVector] | set[DimensionVector],
                            ) -> Optional[RewriteStep]:
-    """d (or its complement) dominating a known sparse vector makes d sparse:
-    the extra subspaces only impose further conditions.  The step points at
-    the dominated vector so the certificate chain can continue into its own
-    sparseness proof."""
+    """d (or its complement) strictly dominating a known sparse vector makes
+    d sparse: the extra subspaces only impose further conditions.  The step
+    points at the dominated vector so the certificate chain can continue
+    into its own sparseness proof.
+
+    Only a strict sub-multiset w != v counts: the engine asks about a
+    canonical form only after its base rules left it unsettled, and each
+    base rule fires on v iff it fires on v^c (the dimension count, the
+    length-4 total-2n test and SubseqTwoN's two-sided scan are all invariant
+    under complement), so neither the form nor its complement is a seed."""
     candidates = sorted(known_sparse, key=lambda v: (v.length, v.total, v.dims))
-    fallback = None
     for side, v in (("self", d), ("complement", d.complement())):
         for w in candidates:
-            if w.ambient != v.ambient or not v.dominates(w):
-                continue
-            if w == v:
-                fallback = fallback or _step(DOMINATION, SPARSE_IF, d, (w,), side=side, strict=0)
-                continue
-            return _step(DOMINATION, SPARSE_IF, d, (w,), side=side, strict=1)
-    return fallback
+            if w != v and w.ambient == v.ambient and v.dominates(w):
+                return _step(DOMINATION, SPARSE_IF, d, (w,), side=side)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +268,6 @@ def rule_complement(d: DimensionVector) -> RewriteStep:
 BASE_RULES = {
     TRIVIALLY_SPARSE: rule_trivially_sparse,
     LENGTH4: rule_length4,
-    BALANCED: rule_balanced,
     SUBSEQ_2N: rule_subseq_2n,
 }
 

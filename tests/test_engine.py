@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from grassdense.core import DimensionVector, Status, Verdict, parse
 from grassdense import engine
 from grassdense.engine import Certificate, Engine, MalformedCertificateError, verify_certificate
-from grassdense.families import enumerate_vectors
+from grassdense.families import classify_size, enumerate_vectors
 from grassdense.oracle import VerdictClass, oracle_decide
 from grassdense import rules as R
+from grassdense.rules import RewriteStep
 
 from certutils import mutants
 
@@ -151,16 +152,7 @@ def test_history_independent():
     assert diffs == []
 
 
-class TestEngineFlags:
-    def test_balanced_enabled_still_correct(self):
-        eng = Engine(with_balanced=True)
-        for text, want in FROZEN.items():
-            v = eng.decide(parse(text))
-            if v.status is not Status.UNKNOWN:
-                assert v.status.value == want
-
-
-# Vectors the oracle refutes but the Balanced base rule calls Dense:
+# Vectors the oracle refutes but the width-2 window check calls dense:
 # (vector, stabilizer dimension found, expected stabilizer dimension).
 BALANCED_REFUTED = [
     ("(3,5^5;22)", 3, 1),
@@ -182,9 +174,8 @@ class TestBalancedTripwire:
         assert decide(parse(text)).status is Status.SPARSE
 
 
-# Vectors the oracle refutes that decide calls Sparse but the engine of
-# classify_size, which also tries Balanced, reaches a Balanced leaf and calls
-# Dense.
+# Vectors the oracle refutes that decide calls Sparse; the width-2 window
+# check calls the first two dense (tests/test_families.py pins its errors).
 CLASSIFY_ENGINE_REFUTED = [
     ("(1^5,3;6)", 3, 1),
     ("(1^4,2,3;7)", 3, 2),
@@ -199,11 +190,6 @@ class TestClassifyEngineBalanced:
         r = oracle_decide(parse(text), samples=2, seed=5)
         assert r.verdict_class is VerdictClass.MONTE_CARLO_SPARSE
         assert (r.stab_dim, r.expected) == (stab, expected)
-
-    @pytest.mark.xfail(strict=True, reason="the Balanced rule is unsound (ROADMAP item 2)")
-    @pytest.mark.parametrize("text", [text for text, _, _ in CLASSIFY_ENGINE_REFUTED])
-    def test_balanced_engine_sparse(self, text):
-        assert Engine(with_balanced=True).decide(parse(text)).status is Status.SPARSE
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -236,11 +222,12 @@ class TestVerdictTable:
             assert ("Dense" if dense else "Sparse") == want, text
 
 
-def test_domination_never_fires_in_decide(monkeypatch):
-    # Without Balanced the only sparse seeds beyond the dimension count come
-    # from SubseqTwoN, and a subset of a seed (or of its complement) is a
-    # subset of every vector dominating it (or of that vector's complement),
-    # so SubseqTwoN settles such a vector before domination is tried.
+def test_domination_never_fires(monkeypatch):
+    # The only sparse seeds beyond the dimension count come from SubseqTwoN,
+    # and a subset of a seed (or of its complement) is a subset of every
+    # vector dominating it (or of that vector's complement), so SubseqTwoN
+    # settles such a vector before domination is tried: in decide and in
+    # classify_size, whose engine is the same.
     steps = []
     real = R.rule_domination_sparse
 
@@ -252,6 +239,8 @@ def test_domination_never_fires_in_decide(monkeypatch):
     eng = Engine()
     for v in enumerate_vectors(8, 9):
         eng.decide(v)
+    for size in range(1, 6):
+        classify_size(size)
     assert steps and not any(steps)
 
 
@@ -300,8 +289,18 @@ class TestVerifyCertificate:
 
     def test_cross_engine_verification(self):
         # certificates verify without access to the engine that made them
-        cert = Engine(with_balanced=True).decide(parse("1,1,1,2,3,5;8")).certificate
+        cert = Engine().decide(parse("1,1,1,2,3,5;8")).certificate
         assert verify_certificate(cert)
+
+    @pytest.mark.parametrize("text", ["(1^5,3;6)", "(1^4,2,3;7)", "(1^3,3,5^2;10)",
+                                      "(3,5^5;6)"])
+    def test_rejects_balanced_step(self, text):
+        # the oracle refutes these Balanced dense steps, so no certificate may
+        # name Balanced: it is no registered rule
+        d = parse(text)
+        step = RewriteStep("Balanced", R.BASE_DENSE, (("reason", "not-trivially-sparse"),), d, ())
+        with pytest.raises(MalformedCertificateError, match="unknown rule_id"):
+            verify_certificate(Certificate(d, Status.DENSE, (step,)))
 
 
 class TestKnownFamilies:

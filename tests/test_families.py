@@ -6,12 +6,17 @@ from grassdense import engine
 from grassdense.core import DimensionVector, Status, parse
 from grassdense.engine import Engine
 from grassdense.families import (
-    FamilyRule, SizeClassification, classification_json, classify_size, enumerate_vectors,
-    fibonacci_family, repeat_family,
+    FamilyRule, SizeClassification, _balanced_dense, classification_json, classify_size,
+    enumerate_vectors, fibonacci_family, repeat_family,
 )
 from grassdense.oracle import oracle_decide
 
 decide = Engine().decide
+
+
+@pytest.fixture(scope="module")
+def size5():
+    return classify_size(5)
 
 
 class TestFibonacciFamily:
@@ -137,6 +142,17 @@ class TestClassifySize:
         assert classification_json(c) == (golden / f"size{size}_classification.json").read_text()
         assert c.to_text() == (golden / f"size{size}_classification.txt").read_text()
 
+    def test_size5_tail_drops_refuted_member(self, size5):
+        # the oracle refutes it (stab 3, expected 1); the window check does
+        # not apply, and the engine finds it sparse
+        assert parse("(1^3,3,5^2;10)") not in size5.exceptional_dense
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the width-2 window check calls it dense (ROADMAP item 2)")
+    @pytest.mark.parametrize("text", ["(3,5^5;6)", "(3,5^5;22)"])
+    def test_size5_tail_refuted_by_oracle(self, size5, text):
+        assert parse(text) not in size5.exceptional_dense
+
     def test_is_dense_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             classify_size(2).is_dense(parse("1,3;5"))
@@ -153,6 +169,44 @@ class TestClassifySize:
         assert j["size"] == 2
         assert j["exceptional_dense"][0] == {"dims": [2, 2, 2], "n": 3, "text": "(2^3;3)"}
         assert "(2^4;5)" in c.to_text()
+
+
+# Every vector the width-2 window check answers wrongly with n <= 8 and
+# length <= 9, against oracle_decide(samples=2, seed=29): all called dense.
+BALANCED_WRONG = [
+    "(1^5,3;6)", "(3,5^5;6)", "(1^4,2,3;7)", "(4,5,6^4;7)", "(1^6,3;7)", "(4,6^6;7)",
+    "(1^4,3^2;8)", "(5^2,7^4;8)", "(1^5,2,3;8)", "(5,6,7^5;8)",
+]
+
+
+class TestBalancedCheck:
+    def test_requires_window(self):
+        assert _balanced_dense(parse("1,1,4,4;6")) is None
+
+    @pytest.mark.parametrize("text", [
+        "2,2,2,2;4",                # dimension count
+        "1,1,2,2;3", "2,2,3,3;5",   # length 4, total 2n
+        "1,1,2,2,3;6", "1,1,2,2,3,3;9", "1,1,2,2,3,3,3;12",  # (1^2,2^2,3^c;3c+3)
+        "1,1,1,3,3;4", "1,1,1,1,3;5", "1,1,1,3,3;5",         # sporadic
+    ])
+    def test_sparse_cases(self, text):
+        assert _balanced_dense(parse(text)) is False
+
+    def test_dense_cases(self):
+        for text in ("2,3,3;7", "1,1,2;5", "2,2,3,3;6", "3,3,4,4,5;14"):
+            assert _balanced_dense(parse(text)) is True
+
+    def test_errors_pinned_exhaustively(self):
+        answered, wrong = 0, []
+        for d in enumerate_vectors(8, 9):
+            dense = _balanced_dense(d)
+            if dense is None:
+                continue
+            answered += 1
+            if dense != oracle_decide(d, samples=2, seed=29).is_dense:
+                wrong.append((str(d), dense))
+        assert answered == 2808
+        assert wrong == [(text, True) for text in BALANCED_WRONG]
 
 
 class TestFamilyRule:
