@@ -7,6 +7,8 @@ density by a certificate-producing rewrite engine, cross-checked by a
 randomized linear-algebra oracle that measures the stabilizer dimension of
 explicit generic configurations.  The engine has no process-wide instance:
 a caller holds an Engine, e.g. Engine().decide(d), and its memo with it.
+Engine().decide may answer Unknown; only `grassdense decide` then falls back
+to oracle_decide, whose OracleReport is the oracle's answer.
 """
 
 __version__ = "0.5.0"

@@ -2,8 +2,8 @@
 
 Subcommands: decide, verify, classify, enumerate, family.  decide answers
 every vector with one verdict, Dense or Sparse, that carries one kind of
-evidence: an engine certificate, or an oracle report when the engine cannot
-settle the vector (verify is where engine coverage is inspected).  Exit codes
+evidence: an engine certificate, or an oracle report when the engine leaves
+the vector Unknown; no other caller falls back to the oracle.  Exit codes
 for decide: 0 = Dense, 1 = Sparse, 3 = error, no verdict.  Every command exits
 3 on bad input: a bad vector or family base prints one `error: <msg>` line on
 stderr, a bad option prints the usage first, and an internal error prints its
@@ -35,7 +35,7 @@ from .core import DimensionVector, Status, Verdict, parse
 from .engine import Engine, Certificate
 from .families import classification_json, classify_size, enumerate_vectors, \
     fibonacci_family, repeat_family
-from .oracle import VerdictClass, oracle_decide
+from .oracle import OracleReport, VerdictClass, oracle_decide
 from . import rules
 
 EXIT_DENSE = 0
@@ -91,14 +91,19 @@ def _oracle_json(report) -> Optional[dict]:
             "anomalies": list(report.anomalies)}
 
 
-def _record(d: DimensionVector, verdict: Verdict, key: dict) -> dict:
+def _record(d: DimensionVector, verdict: Verdict, report: Optional[OracleReport],
+            key: dict) -> dict:
+    """The record of the engine's verdict, or of the oracle's report on an Unknown."""
+    status = verdict.status
+    if report is not None:
+        status = Status.DENSE if report.is_dense else Status.SPARSE
     return {
         "vector": _vec_json(d),
-        "status": verdict.status.value,
-        "method": "engine" if verdict.oracle is None else "oracle",
-        "trivially_sparse": verdict.status is Status.SPARSE and d.is_trivially_sparse,
+        "status": status.value,
+        "method": "engine" if report is None else "oracle",
+        "trivially_sparse": status is Status.SPARSE and d.is_trivially_sparse,
         "trace": _trace_json(verdict.certificate),
-        "oracle": _oracle_json(verdict.oracle),
+        "oracle": _oracle_json(report),
         "key": key,
         "version": __version__,
         "timestamp": _now(),
@@ -223,10 +228,12 @@ def cmd_decide(args) -> int:
     want = (key, _vec_json(d))  # the key is shared with the complement
     cached = None if args.no_cache else _cache_lookup(cache, want)
     if cached is None:
-        verdict = Engine().decide_with_oracle(d, samples=args.samples, seed=args.seed)
-        for msg in verdict.oracle.anomalies if verdict.oracle else ():
-            sys.stderr.write(f"warning: {msg}\n")
-        record = _record(d, verdict, key)
+        verdict, report = Engine().decide(d), None
+        if verdict.status is Status.UNKNOWN:
+            report = oracle_decide(d, samples=args.samples, seed=args.seed)
+            for msg in report.anomalies:
+                sys.stderr.write(f"warning: {msg}\n")
+        record = _record(d, verdict, report, key)
         if not args.no_cache:
             _cache_append(cache, record)
     else:

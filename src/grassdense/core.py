@@ -204,15 +204,12 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Decision outcome with provenance.
-
-    Dense verdicts always carry a certificate or an oracle report.
-    """
+    """The engine's answer.  A Dense verdict always carries its certificate;
+    the oracle answers with an oracle.OracleReport, never with a Verdict."""
 
     status: Status
     certificate: Optional[object] = None  # engine.Certificate
-    oracle: Optional[object] = None  # oracle.OracleReport
 
     def __post_init__(self) -> None:
-        if self.status is Status.DENSE and self.certificate is None and self.oracle is None:
-            raise ValueError("Dense verdict requires a certificate or an oracle report")
+        if self.status is Status.DENSE and self.certificate is None:
+            raise ValueError("Dense verdict requires a certificate")

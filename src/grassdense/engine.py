@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import DimensionVector, Status, Verdict
-from .oracle import oracle_decide
 from . import rules
 from .rules import (
     RewriteStep, BASE_DENSE, BASE_SPARSE, IFF, SPARSE_IF,
@@ -168,20 +167,6 @@ class Engine:
                                             side_prefix + (step,) + child.certificate.steps)
         return None
 
-    # -- oracle fallback ---------------------------------------------------
-
-    def decide_with_oracle(self, d: DimensionVector, samples: int = 3,
-                           seed: int = 0) -> Verdict:
-        """Dense or Sparse, never Unknown: the engine's verdict with its
-        certificate, or, when the engine cannot settle d, the oracle's
-        verdict with its report (oracle_decide(d, samples, seed))."""
-        verdict = self.decide(d)
-        if verdict.status is not Status.UNKNOWN:
-            return verdict
-        report = oracle_decide(d, samples=samples, seed=seed)
-        status = Status.DENSE if report.is_dense else Status.SPARSE
-        return Verdict(status, oracle=report)
-
 
 # ---------------------------------------------------------------------------
 # certificate verification (independent of engine state)
@@ -236,6 +221,9 @@ def verify_certificate(cert: Certificate) -> bool:
     for step in cert.steps:
         if not isinstance(step, RewriteStep):
             raise MalformedCertificateError("non-step in chain")
+        if not (isinstance(step.input, DimensionVector) and isinstance(step.outputs, tuple)
+                and all(isinstance(out, DimensionVector) for out in step.outputs)):
+            raise MalformedCertificateError("step input or output is not a DimensionVector")
         if step.rule_id not in RULE_IDS:
             raise MalformedCertificateError(f"unknown rule_id {step.rule_id!r}")
         if step.direction not in (IFF, SPARSE_IF, BASE_DENSE, BASE_SPARSE):

@@ -7,6 +7,8 @@ maximal entry l, the full description of the dense locus: infinite families
 given by small-entry profiles plus a finite exceptional tail.  It asks
 _balanced_dense, the unsound width-2 window check its goldens were built
 with, before a plain Engine; nothing else in the package uses that check.
+Every other verdict it uses is the engine's, with a certificate: it never
+calls the oracle, and a candidate the engine leaves Unknown is an error.
 """
 
 from __future__ import annotations
@@ -226,20 +228,23 @@ def classify_size(l: int) -> SizeClassification:
     excess e in [2, l] reduces to the profile of entries < e in ambient e,
     so each such e contributes the finite set of dense profiles.  Dense
     vectors with excess >= l+1 form a finite tail, found by exhausting the
-    search region described in search_bound_used.
+    search region described in search_bound_used.  Raises RuntimeError
+    naming the candidate if the engine leaves one Unknown.
     """
-    if not 1 <= l <= 5:
-        raise ValueError("classification supported for sizes 1..5")
+    if type(l) is not int or not 1 <= l <= 5:
+        raise ValueError(f"classification supported for sizes 1..5, got {l!r}")
     # the width-2 window check first, as the goldens were built; then the
-    # engine, falling back to the sampling oracle (5 samples, fixed seed)
-    # for anything left undecided
+    # engine, whose every verdict carries a certificate
     eng = Engine()
 
     def is_dense(d: DimensionVector) -> bool:
         balanced = _balanced_dense(d)
         if balanced is not None:
             return balanced
-        return eng.decide_with_oracle(d, samples=5, seed=20260815).status is Status.DENSE
+        status = eng.decide(d).status
+        if status is Status.UNKNOWN:
+            raise RuntimeError(f"size {l} candidate {d}: the engine leaves it Unknown")
+        return status is Status.DENSE
 
     families = []
     for e in range(2, l + 1):

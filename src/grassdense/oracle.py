@@ -221,8 +221,8 @@ def oracle_decide(
     A dense sample after higher ones, or Monte Carlo minima that differ by
     prime, is listed in the report's anomalies.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     if primes is not None:

@@ -23,7 +23,8 @@ def isolated_cache(tmp_path, monkeypatch):
 @pytest.fixture
 def engine_gives_up(monkeypatch):
     """Engine.decide answers Unknown on ORACLE_BOUND, as if out of budget,
-    so decide settles it by the oracle; other vectors are decided as usual."""
+    so decide settles it by the oracle; other vectors are decided as usual.
+    Returns the unpatched Engine.decide."""
     real = Engine.decide
 
     def decide(self, d):
@@ -31,6 +32,7 @@ def engine_gives_up(monkeypatch):
             return Verdict(Status.UNKNOWN)
         return real(self, d)
     monkeypatch.setattr(Engine, "decide", decide)
+    return real
 
 
 def run(capsys, *argv):
@@ -113,8 +115,10 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", ORACLE_BOUND, "--json")
         rec = json.loads(out)
         assert code == EXIT_DENSE
-        assert rec["method"] == "oracle"
+        assert rec["method"] == "oracle" and rec["trace"] == []
         assert rec["oracle"]["class"] == "CertifiedDense"
+        # the oracle agrees with the unstarved engine
+        assert rec["status"] == engine_gives_up(Engine(), parse(ORACLE_BOUND)).status.value
 
     def test_anomalies_in_record_and_on_stderr(self, capsys, monkeypatch):
         # per-prime minima 4 and 3 on a vector expecting 2

@@ -137,8 +137,13 @@ class TestDominates:
 
 class TestVerdict:
     def test_dense_requires_evidence(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="certificate"):
             Verdict(Status.DENSE)
+
+    def test_has_no_oracle_report(self):
+        # a Verdict is the engine's answer; an OracleReport is the oracle's
+        with pytest.raises(TypeError):
+            Verdict(Status.DENSE, oracle=object())
 
     def test_sparse_bare_ok(self):
         assert Verdict(Status.SPARSE).status is Status.SPARSE

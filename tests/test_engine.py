@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassdense.core import DimensionVector, Status, Verdict, parse
+from grassdense.core import DimensionVector, Status, parse
 from grassdense import engine
 from grassdense.engine import Certificate, Engine, MalformedCertificateError, verify_certificate
 from grassdense.families import classify_size, enumerate_vectors
@@ -119,26 +119,6 @@ class TestDecide:
     @settings(max_examples=40, deadline=None)
     def test_complement_same_verdict(self, d):
         assert decide(d).status == decide(d.complement()).status
-
-
-class GivesUp(Engine):
-    """An engine that leaves every vector Unknown, as if out of budget."""
-
-    def decide(self, d):
-        return Verdict(Status.UNKNOWN)
-
-
-class TestDecideWithOracle:
-    def test_falls_back_on_budget_starvation(self):
-        v = GivesUp().decide_with_oracle(parse("1,1,1,1,5;6"), samples=2, seed=3)
-        assert v.status is Status.DENSE
-        assert v.oracle is not None and v.certificate is None
-        # matches the unstarved engine
-        assert Engine().decide(parse("1,1,1,1,5;6")).status is Status.DENSE
-
-    def test_no_oracle_when_engine_decides(self):
-        v = Engine().decide_with_oracle(parse("1,1,2,2;3"))
-        assert v.status is Status.SPARSE and v.oracle is None
 
 
 def test_history_independent():
@@ -282,6 +262,12 @@ class TestVerifyCertificate:
                               Status.DENSE if cert.status is Status.SPARSE else Status.SPARSE,
                               cert.steps)
         assert verify_certificate(flipped) is False
+        # a step whose output is no vector is malformed, even in a chain that links
+        v = parse("1,1,2,2;3")
+        steps = (RewriteStep(R.DOMINATION, R.SPARSE_IF, (("side", "self"),), v, ("x",)),
+                 RewriteStep(R.TRIVIALLY_SPARSE, R.BASE_SPARSE, (), "x", ()))
+        with pytest.raises(MalformedCertificateError):
+            verify_certificate(Certificate(v, Status.SPARSE, steps))
 
     def test_rejects_non_certificate(self):
         with pytest.raises(MalformedCertificateError):

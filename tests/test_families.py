@@ -2,8 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from grassdense import engine
-from grassdense.core import DimensionVector, Status, parse
+from grassdense.core import DimensionVector, Status, Verdict, parse
 from grassdense.engine import Engine
 from grassdense.families import (
     FamilyRule, SizeClassification, _balanced_dense, classification_json, classify_size,
@@ -133,10 +132,15 @@ class TestClassifySize:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_never_reaches_oracle(self, size, monkeypatch):
-        # every golden member carries an engine certificate
-        def refuse(*args, **kwargs):
-            raise AssertionError("classification fell back to the oracle")
-        monkeypatch.setattr(engine, "oracle_decide", refuse)
+        # classify has no oracle fallback: every verdict it takes outside the
+        # window check carries an engine certificate, and the goldens hold
+        real = Engine.decide
+
+        def certified(self, d):
+            verdict = real(self, d)
+            assert verdict.certificate is not None, f"{d}: no engine certificate"
+            return verdict
+        monkeypatch.setattr(Engine, "decide", certified)
         c = classify_size(size)
         golden = Path(__file__).resolve().parent.parent / "golden"
         assert classification_json(c) == (golden / f"size{size}_classification.json").read_text()
@@ -158,10 +162,18 @@ class TestClassifySize:
             classify_size(2).is_dense(parse("1,3;5"))
 
     def test_supported_range(self):
-        with pytest.raises(ValueError):
-            classify_size(0)
-        with pytest.raises(ValueError):
-            classify_size(6)
+        for size in (0, 6, True, 2.0, "3", None):
+            with pytest.raises(ValueError, match="sizes 1..5"):
+                classify_size(size)
+
+    def test_engine_unknown_is_an_error(self, monkeypatch):
+        # no oracle fallback: a candidate the engine leaves Unknown stops classify
+        stuck = parse("(1,2,4^2;5)")  # engine-dense, outside the window check
+        real = Engine.decide
+        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict(Status.UNKNOWN)
+                            if d == stuck else real(self, d))
+        with pytest.raises(RuntimeError, match=r"\(1,2,4\^2;5\)"):
+            classify_size(4)
 
     def test_json_and_text_render(self):
         c = classify_size(2)

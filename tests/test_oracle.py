@@ -262,8 +262,11 @@ class TestOracleDecide:
         assert t.primes == () and t.samples == 0
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            oracle_decide(parse("1,2;4"), samples=0)
+        # samples must be an int >= 1, whether or not the vector is sampled
+        for text in ("1,1,1,1,2;4", "1,2^2;5", "1,2;4"):
+            for samples in (0, -1, 2.5, "3", None):
+                with pytest.raises(ValueError, match="samples"):
+                    oracle_decide(parse(text), samples=samples)
         # 2^61 - 1 is prime but overflows int64 elimination; 1 and 9 are not prime
         for primes in ([2**61 - 1], [1], [9], [P, 2**61 - 1], [None, 9], []):
             with pytest.raises(ValueError, match="primes"):
