@@ -45,8 +45,8 @@ class AmbientMismatchError(ValueError):
 class DimensionVector:
     """Sorted multiset of subspace dimensions with ambient dimension n.
 
-    Entries are validated to lie in [1, n-1]; use :func:`normalize` to build
-    a vector from raw data that may contain 0 or n entries.
+    Entries must be ints (not bools) in [1, n-1]; :func:`normalize` builds a
+    vector from raw data that may contain 0 or n entries.
     """
 
     dims: tuple[int, ...]
@@ -55,11 +55,11 @@ class DimensionVector:
     def __post_init__(self) -> None:
         dims = tuple(sorted(self.dims))
         n = self.ambient
-        if not isinstance(n, int) or n < 2:
+        if type(n) is not int or n < 2:
             raise MalformedVectorError(f"ambient dimension must be an integer >= 2, got {n!r}")
         if not dims:
             raise MalformedVectorError("dimension vector needs at least one entry")
-        if any(not isinstance(d, int) for d in dims):
+        if any(type(d) is not int for d in dims):
             raise MalformedVectorError(f"entries must be integers, got {dims!r}")
         if dims[0] < 1 or dims[-1] > n - 1:
             raise MalformedVectorError(f"entries of {dims} must lie in [1, {n - 1}]")
@@ -152,13 +152,13 @@ def normalize(raw: Iterable[int], ambient: int) -> DimensionVector:
 
     Gr(0, n) and Gr(n, n) are points, so such factors never affect density.
     Raises :class:`VacuousVectorError` if nothing survives, and
-    :class:`MalformedVectorError` on entries outside [0, ambient].
+    :class:`MalformedVectorError` on bools, non-ints and entries outside [0, ambient].
     """
     entries = tuple(raw)
-    if not isinstance(ambient, int) or ambient < 1:
+    if type(ambient) is not int or ambient < 1:
         raise MalformedVectorError(f"ambient dimension must be a positive integer, got {ambient!r}")
     for d in entries:
-        if not isinstance(d, int) or d < 0 or d > ambient:
+        if type(d) is not int or d < 0 or d > ambient:
             raise MalformedVectorError(f"entry {d!r} outside [0, {ambient}]")
     kept = tuple(sorted(d for d in entries if 0 < d < ambient))
     if not kept:

@@ -21,6 +21,8 @@ Comp. 86, 2017).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -28,12 +30,13 @@ _MR_SMALL_BASES = (2, 7, 61)
 _MR_SMALL_LIMIT = 4_759_123_141
 
 
+@functools.lru_cache(maxsize=1024)
 def is_probable_prime(n: int) -> bool:
     """Deterministic for n < 2^64, Miller-Rabin above.
 
     Witnesses 2, 7, 61 below 4,759,123,141 (Jaeschke 1993), else the primes
     up to 37 (Sorenson-Webster 2017).  A witness divisible by n is skipped:
-    it says nothing, and would call 61 composite."""
+    it says nothing, and would call 61 composite.  Memoized (bounded)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -104,11 +107,14 @@ def mod_rank(a: np.ndarray, p: int) -> int:
     Eliminates one working copy whose columns are sorted by ascending
     nonzero count (stable), which keeps fill low on sparse systems; the
     rank is that of the input, since column permutations preserve it.
-    Raises ValueError unless p is a prime below 2^31.
+    Raises ValueError unless p is a prime below 2^31 and a's dtype signed integer.
     """
     if not is_elimination_prime(p):
         raise ValueError(f"modulus must be a prime below 2^31 (int64 elimination), got {p!r}")
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a)
+    if a.dtype.kind != "i":
+        raise ValueError(f"matrix dtype {a.dtype} is not a signed integer type")
+    a = a.astype(np.int64, copy=False)
     if a.size == 0:
         return 0
     m = np.take(a, np.argsort(np.count_nonzero(a, axis=0), kind="stable"), axis=1)

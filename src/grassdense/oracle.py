@@ -62,7 +62,7 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -88,25 +88,35 @@ class VerdictClass(Enum):
 class GenericConfiguration:
     """Sampled point of the product of Grassmannians.
 
-    subspaces[i] is an n x d_i matrix over F_prime (prime set) or over Z
-    viewed inside Q (prime None): a chart matrix [I_{d_i}; A_i], or a
+    subspaces[i] is a signed integer n x d_i matrix over F_prime (prime set) or
+    over Z viewed inside Q (prime None): a chart matrix [I_{d_i}; A_i], or a
     coordinate block np.eye(n, d_i, k=-s), the span of e_{s+1}..e_{s+d_i}.
+    Validation sets starts[i] = s for a block (a chart with A_i = 0: s = 0), else None.
     """
 
     ambient: int
     subspaces: tuple[np.ndarray, ...]
     prime: Optional[int]
+    starts: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n = self.ambient
+        eye = np.eye(n, dtype=np.int64)  # the block at s is eye[:, s:s + d]
+        starts = []
         for u in self.subspaces:
-            if u.ndim != 2 or u.shape[0] != self.ambient:
-                raise ValueError(f"subspace matrix shape {u.shape} does not match n={self.ambient}")
+            if u.ndim != 2 or u.shape[0] != n:
+                raise ValueError(f"subspace matrix shape {u.shape} does not match n={n}")
+            if u.dtype.kind != "i":  # floats would be truncated, unsigned A negated wrongly
+                raise ValueError(f"subspace matrix dtype {u.dtype} is not a signed integer type")
             d = u.shape[1]
-            if d <= self.ambient and (u[:d] == np.eye(d, dtype=np.int64)).all():
-                continue  # a chart [I; A]
-            rows = np.flatnonzero(u.any(axis=1))
-            if not (rows.size == d > 0 and np.array_equal(u, np.eye(self.ambient, d, k=-rows[0]))):
+            if d <= n and (u[:d] == eye[:d, :d]).all():
+                starts.append(None if u[d:].any() else 0)  # a chart [I; A]
+                continue
+            s = int(u[:, 0].argmax()) if d <= n else n  # a block's column 0 is e_{s+1}
+            if not (s + d <= n and (u == eye[:, s:s + d]).all()):
                 raise ValueError("subspace matrix is neither a chart [I; A] nor a coordinate block")
+            starts.append(s)
+        object.__setattr__(self, "starts", tuple(starts))
 
 
 @dataclass(frozen=True)
@@ -127,23 +137,8 @@ class OracleReport:
         return self.verdict_class is VerdictClass.CERTIFIED_DENSE
 
 
-def sample_configuration(
-    d: DimensionVector,
-    prime: Optional[int] = None,
-    seed: int | np.random.SeedSequence = 0,
-) -> GenericConfiguration:
-    """Fix the slice's pair at [I; 0] and [0; I] and, when they are a
-    direct sum, every further entry that fits at the next coordinate block
-    below the first; draw a random chart point [I; A_i] for every other
-    subspace, deterministically in (d, prime, seed).  prime=None selects
-    rational (integer-entry) mode."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence([int(seed), prime or 0])
-    rng = np.random.default_rng(seed)
-    if prime is None:
-        lo, hi = -_RATIONAL_ENTRY_BOUND, _RATIONAL_ENTRY_BOUND + 1
-    else:
-        lo, hi = 0, prime
+def _slice(d: DimensionVector) -> dict[int, int]:
+    """Start row of the coordinate block of each entry the slice fixes."""
     n = d.ambient
     # the slice's pair: largest d_i (n - d_i), then larger d_i, then earlier;
     # every later entry in this order is fixed at the next block down from
@@ -157,6 +152,27 @@ def sample_configuration(
         for i in order[2:]:
             if row + d.dims[i] <= end:
                 start[i], row = row, row + d.dims[i]
+    return start
+
+
+def sample_configuration(
+    d: DimensionVector,
+    prime: Optional[int] = None,
+    seed: int | np.random.SeedSequence = 0,
+) -> GenericConfiguration:
+    """Fix the slice's pair at [I; 0] and [0; I] and, when they are a
+    direct sum, every further entry that fits at the next coordinate block
+    below the first; draw a random chart point [I; A_i] for every other
+    subspace, deterministically in (d, prime, seed).  prime=None selects
+    rational (integer-entry) mode.  Without a chart point nothing is drawn
+    and seed is unused."""
+    n = d.ambient
+    start = _slice(d)
+    if len(start) < d.length:
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence([int(seed), prime or 0])
+        rng = np.random.default_rng(seed)
+    lo, hi = (-_RATIONAL_ENTRY_BOUND, _RATIONAL_ENTRY_BOUND + 1) if prime is None else (0, prime)
     mats = []
     for i, di in enumerate(d.dims):
         if i in start:
@@ -178,12 +194,12 @@ def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
     n = c.ambient
     forced = np.zeros((n, n), dtype=bool)
     charts = []
-    for u in c.subspaces:
-        inside = u.any(axis=1)
-        if np.count_nonzero(inside) == u.shape[1]:
-            forced |= np.outer(~inside, inside)
-        else:
+    for u, s in zip(c.subspaces, c.starts):
+        if s is None:
             charts.append(u)
+        else:
+            e = s + u.shape[1]
+            forced[:s, s:e] = forced[e:, s:e] = True
     kept = np.flatnonzero(~forced.ravel())
     blocks = [np.zeros((0, kept.size), dtype=np.int64)]
     for u in charts:
@@ -213,17 +229,18 @@ def oracle_decide(
 
     primes is the cycle of fields the samples use in turn: a prime p below
     2^31 (so residue products stay exact in int64) samples over F_p, None
-    samples over Q.  By default two random primes are drawn from seed, which
-    must be a non-negative int.  CertifiedDense as soon as one sample's
-    PGL-stabilizer dimension equals expected_stab_dim(d) >= 0; otherwise
-    MonteCarloSparse.  Trivially sparse vectors short-circuit with zero
-    samples (that verdict is deterministic), after the arguments are checked.
-    A dense sample after higher ones, or Monte Carlo minima that differ by
-    prime, is listed in the report's anomalies.
+    samples over Q.  The default is two distinct random primes from seed,
+    each drawn when a sample first uses it; the report lists those drawn.
+    samples >= 1 and seed >= 0 are ints, not bools.  CertifiedDense as soon
+    as one sample's PGL-stabilizer dimension equals expected_stab_dim(d) >= 0;
+    otherwise MonteCarloSparse.  Trivially sparse vectors short-circuit with
+    zero samples (that verdict is deterministic), after the arguments are
+    checked.  A dense sample after higher ones, or Monte Carlo minima that
+    differ by prime, is listed in the report's anomalies.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an int >= 1, got {samples!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     if primes is not None:
         primes = [None if p is None else int(p) for p in primes]
@@ -234,17 +251,19 @@ def oracle_decide(
     prime_cycle: list[Optional[int]] = []
     observed: list[tuple[Optional[int], int]] = []  # (prime, stab) per sample run
     if expected >= 0:
-        prime_cycle = primes
-        if prime_cycle is None:
+        prime_cycle = primes or []
+        if primes is None:  # two distinct primes, each drawn when a sample first uses it
             prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
-            first, second = random_prime(prng), random_prime(prng)
-            while second == first:
-                second = random_prime(prng)
-            prime_cycle = [first, second]
-        children = np.random.SeedSequence([seed]).spawn(samples)
+        charted = len(_slice(d)) < d.length  # else no sample draws, nor needs a seed
         for s in range(samples):
+            if primes is None and s < 2:
+                prime_cycle.append(random_prime(prng))
+                while prime_cycle[s] in prime_cycle[:s]:
+                    prime_cycle[s] = random_prime(prng)
             p = prime_cycle[s % len(prime_cycle)]
-            stab = stabilizer_nullity(sample_configuration(d, prime=p, seed=children[s])) - 1
+            # child s of SeedSequence([seed]).spawn(samples)
+            child = np.random.SeedSequence([seed], spawn_key=(s,)) if charted else seed
+            stab = stabilizer_nullity(sample_configuration(d, prime=p, seed=child)) - 1
             if stab < expected:
                 raise RuntimeError(f"{d}: stabilizer dim {stab} below the dimension bound "
                                    f"{expected}: elimination bug")

@@ -40,6 +40,16 @@ class TestConstruction:
         with pytest.raises(MalformedVectorError):
             normalize([4], 3)
 
+    def test_rejects_bools(self):
+        # True == 1 and False == 0, but (True,2;3) would print as a vector
+        # that parse rejects
+        for dims, n in [((True, 2), 3), ((1, False), 3), ((1, 2), True), ((2,), 3.0)]:
+            with pytest.raises(MalformedVectorError):
+                DimensionVector(dims, n)
+        for raw, n in [([True, 2], 3), ([False, 2], 3), ([1], True), ([2.0], 3)]:
+            with pytest.raises(MalformedVectorError):
+                normalize(raw, n)
+
 
 class TestParseFormat:
     @pytest.mark.parametrize("text,dims,n", [

@@ -119,6 +119,16 @@ class TestModular:
     def test_empty_rank_zero(self, shape):
         assert mod_rank(np.zeros(shape, dtype=np.int64), P) == 0
 
+    def test_rejects_non_integer_dtype(self):
+        # a float entry would be truncated: [[0.5]] has rank 1 over F_P, not 0
+        # and an unsigned one above 2^63 would wrap to a negative int64
+        for a in (np.array([[0.5]]), np.array([[1.0], [0.5]]), np.ones((2, 2), dtype=bool),
+                  np.zeros((0, 3)), np.array([[2**64 - 1]], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="integer"):
+                mod_rank(a, P)
+        assert mod_rank(np.eye(3, dtype=np.int32), P) == 3
+        assert mod_rank([[3, 5], [6, 10]], P) == 1
+
     # 4 is composite (the rank "mod 4" would read 1); 1 is no prime; 2^61 - 1
     # and 2^31 + 11 are primes whose residue products overflow int64
     @pytest.mark.parametrize("p", [4, 1, 2**61 - 1, 2**31 + 11, 7.0])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from grassdense import oracle
 from grassdense.core import DimensionVector, parse
-from grassdense.linalg import _eliminate, mod_rank
+from grassdense.linalg import _eliminate, is_probable_prime, mod_rank, random_prime
 from grassdense.oracle import (
     GenericConfiguration, VerdictClass, _stabilizer_system, oracle_decide,
     sample_configuration, stabilizer_nullity,
@@ -264,7 +266,7 @@ class TestOracleDecide:
     def test_bad_args(self):
         # samples must be an int >= 1, whether or not the vector is sampled
         for text in ("1,1,1,1,2;4", "1,2^2;5", "1,2;4"):
-            for samples in (0, -1, 2.5, "3", None):
+            for samples in (0, -1, 2.5, "3", None, True):
                 with pytest.raises(ValueError, match="samples"):
                     oracle_decide(parse(text), samples=samples)
         # 2^61 - 1 is prime but overflows int64 elimination; 1 and 9 are not prime
@@ -277,7 +279,7 @@ class TestOracleDecide:
                 oracle_decide(parse("1,1,1,1,2;4"), primes=primes)
         # a seed must be a non-negative int, whether or not the vector is sampled
         for text in ("1,1,1,1,2;4", "1,2,2;5"):
-            for seed in (-1, 1.5):
+            for seed in (-1, 1.5, False, True):
                 with pytest.raises(ValueError, match="seed"):
                     oracle_decide(parse(text), seed=seed)
 
@@ -305,9 +307,77 @@ class TestOracleDecide:
 
     @pytest.mark.parametrize("text", list(N30_STAB_DIMS))
     def test_benchmark_answers_pinned(self, text):
+        # one sample draws only the first prime
         for seed, primes in self.N30_PRIMES.items():
             r = oracle_decide(parse(text), samples=1, seed=seed)
-            assert (r.primes, r.stab_dims) == (primes, ((primes[0], self.N30_STAB_DIMS[text]),))
+            assert (r.primes, r.stab_dims) == (primes[:1], ((primes[0], self.N30_STAB_DIMS[text]),))
+
+    def test_second_default_primes_pinned(self):
+        # the sparse (12^2,13^2;25) runs its second sample, on the second prime
+        for seed, primes in self.N30_PRIMES.items():
+            r = oracle_decide(parse("12^2,13^2;25"), samples=2, seed=seed)
+            assert r.primes == primes and [p for p, _ in r.stab_dims] == list(primes)
+
+
+def _eager_primes(seed):
+    """The default prime pair, both drawn up front from oracle_decide's stream."""
+    prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
+    first, second = random_prime(prng), random_prime(prng)
+    while second == first:
+        second = random_prime(prng)
+    return first, second
+
+
+class TestSampleCost:
+    def test_one_sample_draws_one_prime_and_no_configuration_generator(self, monkeypatch):
+        # (5^5;30) is a direct sum: every entry is fixed, nothing is drawn
+        d, first = parse("5^5;30"), _eager_primes(3)[0]
+        rngs, seeds, body_runs = [], [], []
+        default_rng, sample = np.random.default_rng, oracle.sample_configuration
+        monkeypatch.setattr(np.random, "default_rng", lambda s: rngs.append(s) or default_rng(s))
+        monkeypatch.setattr(oracle, "sample_configuration",
+                            lambda d, prime, seed: seeds.append(seed) or sample(d, prime, seed))
+        body = is_probable_prime.__wrapped__.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is body:
+                body_runs.append(frame.f_locals["n"])
+
+        is_probable_prime.cache_clear()
+        sys.setprofile(profile)
+        try:
+            r = oracle_decide(d, samples=1, seed=3)
+        finally:
+            sys.setprofile(None)
+        (p,) = r.primes
+        assert r.stab_dims == ((p, d.expected_stab_dim),) and p == first
+        # the only Generator is the prime stream's; the sample gets no SeedSequence
+        assert len(rngs) == 1 and rngs[0].entropy == [3, 0xA11CE]
+        assert len(seeds) == 1 and not isinstance(seeds[0], np.random.SeedSequence)
+        # random_prime tested p, and mod_rank's guard found the answer cached
+        assert body_runs.count(p) == 1 and is_probable_prime.cache_info().hits >= 1
+
+    def test_lazy_primes_are_prefix_of_eager_pair(self):
+        dense, sparse = parse("2,2,2;4"), parse("1,1,2,2;3")
+        for seed in range(200):
+            pair = _eager_primes(seed)
+            assert oracle_decide(dense, samples=2, seed=seed).primes == pair[:1]
+            assert oracle_decide(sparse, samples=1, seed=seed).primes == pair[:1]
+            assert oracle_decide(sparse, samples=3, seed=seed).primes == pair
+
+    @pytest.mark.parametrize("text", ["1,3,3,3;5", "12^2,13^2;25", "5,5,5,5,13;14"])
+    def test_charted_samples_get_spawned_children(self, monkeypatch, text):
+        seeds = []
+        sample = oracle.sample_configuration
+        monkeypatch.setattr(oracle, "sample_configuration",
+                            lambda d, prime, seed: seeds.append(seed) or sample(d, prime, seed))
+        for seed in (0, 7):
+            seeds.clear()
+            r = oracle_decide(parse(text), samples=3, seed=seed)
+            children = np.random.SeedSequence([seed]).spawn(3)[:r.samples]
+            assert len(seeds) == r.samples
+            for got, want in zip(seeds, children):
+                assert np.array_equal(got.generate_state(8), want.generate_state(8))
 
 
 def _script_stabs(monkeypatch, stabs):
@@ -461,6 +531,20 @@ class TestGenericConfiguration:
         assert message == _eager_check(n, subspaces)
 
 
+class TestNonIntegerMatrices:
+    def test_float_chart_rejected(self):
+        # [1; 0.5; 0] would be truncated to A = 0, nullity 5 instead of 3
+        blocks = (np.eye(3, 1, dtype=np.int64), np.eye(3, 1, k=-2, dtype=np.int64))
+        with pytest.raises(ValueError, match="integer"):
+            GenericConfiguration(3, (np.array([[1], [0.5], [0]]),) + blocks, P)
+        half = np.array([[1], [(P + 1) // 2], [0]], dtype=np.int64)  # 1/2 in F_P
+        assert stabilizer_nullity(GenericConfiguration(3, (half,) + blocks, P)) == 3
+        # an unsigned chart's -A wraps: -1 reads 255 over uint8
+        for u in (np.eye(3, 1, dtype=bool), np.array([[1], [1], [0]], dtype=np.uint8)):
+            with pytest.raises(ValueError, match="integer"):
+                GenericConfiguration(3, (u,) + blocks, P)
+
+
 class TestForcedMask:
     @pytest.mark.parametrize("prime", [P, None])
     @pytest.mark.parametrize("text", ["12^2,13^2;25", "5^5;30", "3^6,5;19", "2,3;4", "1^5,3;6"])
@@ -469,6 +553,25 @@ class TestForcedMask:
             c = sample_configuration(parse(text), prime=prime, seed=seed)
             m, ref = _stabilizer_system(c), _ix_system(c)
             assert m.shape == ref.shape and (m == ref).all()
+
+    @given(subspace_tuples())
+    @settings(max_examples=400, deadline=None)
+    def test_starts_match_index_supports(self, case):
+        # on every configuration validation accepts, the recorded start is
+        # where _ix_system finds a block's support, and None on its charts
+        n, subspaces = case
+        try:
+            c = GenericConfiguration(n, subspaces, P)
+        except ValueError:
+            return
+        for u, s in zip(c.subspaces, c.starts):
+            support = np.flatnonzero(u.any(axis=1))
+            if support.size == u.shape[1]:
+                assert s is not None and np.array_equal(support, np.arange(s, s + u.shape[1]))
+            else:
+                assert s is None
+        m, ref = _stabilizer_system(c), _ix_system(c)
+        assert m.shape == ref.shape and (m == ref).all()
 
     @given(small_vectors(), st.sampled_from([P, None]), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
