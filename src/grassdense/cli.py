@@ -247,7 +247,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    max_len = args.max_len if args.max_len is not None else args.max_n + 1
+    max_len = args.max_n + 1
     engine = Engine()
     t0 = time.perf_counter()
     total = unknown = 0
@@ -317,7 +317,6 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="sweep engine against the sampling oracle")
     v.add_argument("--max-n", type=int, required=True)
-    v.add_argument("--max-len", type=int, default=None)
     v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--samples", type=_samples, default=2)
     v.set_defaults(fn=cmd_verify)

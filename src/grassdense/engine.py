@@ -5,10 +5,10 @@ vector and its complement).  Every Engine searches the same registered
 rules; it takes no options.  Base rules, the dimension count first, settle a
 vector outright; Iff reductions recurse into a smaller vector; the one
 SparseIf edge, domination of a known sparse vector, can only propagate
-sparseness upward.  Dense / Sparse verdicts are memoized for the lifetime of
-the Engine that found them, and every memo belongs to an Engine its caller
-holds.  Unknown lives only in one decide call's visited set: a later call
-searches again.  A call searches at most NODE_BUDGET nodes.
+sparseness upward.  Engine.memo maps each settled canonical form to its
+Certificate for the lifetime of the Engine, which its caller holds.  Unknown
+lives only in one decide call's visited set: a later call searches again.  A
+call searches at most NODE_BUDGET nodes, counted live in last_nodes.
 
 Every settled verdict carries a Certificate: a chain of rewrite steps from
 the queried vector down to a leaf (a base-rule hit or a vacuous rewrite).
@@ -55,7 +55,7 @@ DOMINATION_LEN_CAP = 6
 
 
 class Engine:
-    """Rule search with a memo of settled verdicts.  Each decide call
+    """Rule search with a memo of certificates.  Each decide call
     searches at most NODE_BUDGET nodes and visits each canonical form at
     most once: a form already visited in the call and not in the memo is in
     progress or failed, so it answers Unknown.  A repeated step costs no
@@ -63,7 +63,7 @@ class Engine:
     past the budget."""
 
     def __init__(self):
-        self.memo: dict[DimensionVector, Verdict] = {}
+        self.memo: dict[DimensionVector, Certificate] = {}
         self._seed_cache: dict[int, tuple[DimensionVector, ...]] = {}
         self.last_nodes = 0
         self.last_budget_exhausted = False
@@ -100,71 +100,55 @@ class Engine:
     # -- search ----------------------------------------------------------
 
     def decide(self, d: DimensionVector) -> Verdict:
-        state = {"nodes": 0, "exhausted": False, "visited": set()}
-        verdict = self._decide_rec(d, state)
-        self.last_nodes = state["nodes"]
-        self.last_budget_exhausted = state["exhausted"]
-        return verdict
+        self.last_nodes = 0
+        self.last_budget_exhausted = False
+        cert = self._certify(d, set())
+        return Verdict(Status.UNKNOWN) if cert is None else Verdict(cert.status, cert)
 
-    def _with_prefix(self, d: DimensionVector, prefix: tuple[RewriteStep, ...],
-                     verdict: Verdict) -> Verdict:
-        if not prefix:
-            return verdict
-        cert = Certificate(d, verdict.status, prefix + verdict.certificate.steps)
-        return Verdict(verdict.status, certificate=cert)
-
-    def _settle(self, rep: DimensionVector, status: Status,
-                steps: tuple[RewriteStep, ...]) -> Verdict:
-        verdict = Verdict(status, certificate=Certificate(rep, status, steps))
-        self.memo[rep] = verdict
-        return verdict
-
-    def _decide_rec(self, d: DimensionVector, state: dict) -> Verdict:
+    def _certify(self, d: DimensionVector,
+                 visited: set[DimensionVector]) -> Optional[Certificate]:
+        """d's certificate, or None: Unknown in this call."""
         rep = d.canonical()
-        prefix = () if rep == d else (rules.rule_complement(d),)
+        cert = self.memo.get(rep)
+        if cert is None:
+            if rep in visited:
+                return None
+            if self.last_nodes >= NODE_BUDGET:
+                self.last_budget_exhausted = True
+                return None
+            self.last_nodes += 1
+            visited.add(rep)
+            cert = self._search(rep, visited)
+            if cert is None:
+                return None
+            self.memo[rep] = cert
+        if rep == d:
+            return cert
+        return Certificate(d, cert.status, (rules.rule_complement(d),) + cert.steps)
 
-        hit = self.memo.get(rep)
-        if hit is not None:
-            return self._with_prefix(d, prefix, hit)
-        if rep in state["visited"]:
-            return Verdict(Status.UNKNOWN)
-        if state["nodes"] >= NODE_BUDGET:
-            state["exhausted"] = True
-            return Verdict(Status.UNKNOWN)
-        state["nodes"] += 1
-
+    def _search(self, rep: DimensionVector,
+                visited: set[DimensionVector]) -> Optional[Certificate]:
+        """rep's certificate: a base step, domination, or a decided reduction."""
         step = self._base_step(rep)
         if step is not None:
-            status = Status.DENSE if step.direction == BASE_DENSE else Status.SPARSE
-            return self._with_prefix(d, prefix, self._settle(rep, status, (step,)))
-
-        state["visited"].add(rep)
-        verdict = self._search_reductions(rep, state)
-        if verdict is not None:
-            return self._with_prefix(d, prefix, verdict)
-        return Verdict(Status.UNKNOWN)
-
-    def _search_reductions(self, rep: DimensionVector, state: dict) -> Optional[Verdict]:
-        comp = rep.complement()
-        sides = ((rep, ()), (comp, (rules.rule_complement(rep),)))
+            return Certificate(rep, _leaf_status(step), (step,))
 
         step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
         if step is not None:
-            child = self._decide_rec(step.outputs[0], state)
-            if child.status is Status.SPARSE:
-                return self._settle(rep, Status.SPARSE,
-                                    (step,) + child.certificate.steps)
+            child = self._certify(step.outputs[0], visited)
+            if child is not None and child.status is Status.SPARSE:
+                return Certificate(rep, Status.SPARSE, (step,) + child.steps)
 
         # every reduction is Iff, so any decided child settles rep
+        sides = ((rep, ()), (rep.complement(), (rules.rule_complement(rep),)))
         for fn in rules.REDUCTION_RULES.values():
-            for side, side_prefix in sides:
+            for side, prefix in sides:
                 for step in fn(side):
                     if step.is_vacuous:
-                        return self._settle(rep, Status.DENSE, side_prefix + (step,))
-                    child = self._decide_rec(step.outputs[0], state)
-                    if child.status is not Status.UNKNOWN:
-                        return self._settle(rep, child.status,
-                                            side_prefix + (step,) + child.certificate.steps)
+                        return Certificate(rep, Status.DENSE, prefix + (step,))
+                    child = self._certify(step.outputs[0], visited)
+                    if child is not None:
+                        return Certificate(rep, child.status, prefix + (step,) + child.steps)
         return None
 
 
@@ -172,32 +156,27 @@ class Engine:
 # certificate verification (independent of engine state)
 # ---------------------------------------------------------------------------
 
-_LEAF_DENSE = "dense"
-_LEAF_SPARSE = "sparse"
-
-
-def _leaf_kind(step: RewriteStep) -> Optional[str]:
+def _leaf_status(step: RewriteStep) -> Optional[Status]:
+    """The verdict a leaf settles (a base-rule hit or a vacuous Iff
+    rewrite); None for a step that is no leaf."""
     if step.outputs:
         return None
-    if step.direction == BASE_DENSE:
-        return _LEAF_DENSE
+    if step.direction == BASE_DENSE or (step.is_vacuous and step.direction == IFF):
+        return Status.DENSE
     if step.direction == BASE_SPARSE:
-        return _LEAF_SPARSE
-    if step.is_vacuous and step.direction == IFF:
-        return _LEAF_DENSE
+        return Status.SPARSE
     return None
 
 
 def _refire_matches(step: RewriteStep) -> bool:
     rid = step.rule_id
     if rid == COMPLEMENT:
-        return (step.direction == IFF and not step.params
-                and step.outputs == (step.input.complement(),))
+        return step == rules.rule_complement(step.input)
     if rid == DOMINATION:
         p = step.params_dict()
         side = step.input if p.get("side") == "self" else step.input.complement()
         return (len(step.outputs) == 1 and step.direction == SPARSE_IF
-                and side.dominates(step.outputs[0]))
+                and side.ambient == step.outputs[0].ambient and side.dominates(step.outputs[0]))
     if rid in rules.BASE_RULES:
         return rules.BASE_RULES[rid](step.input) == step
     if rid in rules.REDUCTION_RULES:
@@ -235,15 +214,14 @@ def verify_certificate(cert: Certificate) -> bool:
             raise MalformedCertificateError("broken chain link")
         if prev.direction not in (IFF, SPARSE_IF):
             raise MalformedCertificateError("interior step is not an edge")
-    leaf = _leaf_kind(cert.steps[-1])
+    leaf = _leaf_status(cert.steps[-1])
     if leaf is None:
         raise MalformedCertificateError("chain does not end in a leaf")
 
     # polarity: Iff edges carry either verdict to the root, SparseIf only Sparse
-    dense = leaf == _LEAF_DENSE
-    if dense and any(step.direction == SPARSE_IF for step in cert.steps[:-1]):
+    if leaf is Status.DENSE and any(step.direction == SPARSE_IF for step in cert.steps[:-1]):
         return False
-    if (cert.status is Status.DENSE) != dense:
+    if cert.status is not leaf:
         return False
 
     return all(_refire_matches(step) for step in cert.steps)

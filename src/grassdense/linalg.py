@@ -125,10 +125,13 @@ def mod_rank(a: np.ndarray, p: int) -> int:
 def bareiss_rank(a) -> int:
     """Rank over Q of an integer matrix, via fraction-free Bareiss elimination.
 
-    Python-int arithmetic (object dtype), so no overflow; use on small
-    matrices only.
+    Python-int arithmetic, so no overflow; use on small matrices only.
+    Raises ValueError unless a's dtype is a signed integer type.
     """
-    m = [[int(x) for x in row] for row in np.asarray(a)]
+    a = np.asarray(a)
+    if a.dtype.kind != "i":
+        raise ValueError(f"matrix dtype {a.dtype} is not a signed integer type")
+    m = [[int(x) for x in row] for row in a]
     if not m or not m[0]:
         return 0
     rows, cols = len(m), len(m[0])

@@ -243,10 +243,11 @@ def oracle_decide(
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     if primes is not None:
-        primes = [None if p is None else int(p) for p in primes]
+        primes = list(primes)
         if not primes or any(p is not None and not is_elimination_prime(p) for p in primes):
-            raise ValueError(f"primes must be a nonempty list of None or primes below 2^31 "
+            raise ValueError(f"primes must be a nonempty list of None or int primes below 2^31 "
                              f"(int64 elimination), got {primes}")
+        primes = [None if p is None else int(p) for p in primes]
     expected = d.expected_stab_dim
     prime_cycle: list[Optional[int]] = []
     observed: list[tuple[Optional[int], int]] = []  # (prime, stab) per sample run

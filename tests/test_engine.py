@@ -269,6 +269,14 @@ class TestVerifyCertificate:
         with pytest.raises(MalformedCertificateError):
             verify_certificate(Certificate(v, Status.SPARSE, steps))
 
+    def test_domination_across_ambients_fails(self):
+        # a vector cannot dominate one of another ambient: the step does not
+        # re-fire, so the check fails rather than raising AmbientMismatchError
+        v, w = parse("(1^7;3)"), parse("(1^9;4)")
+        steps = (RewriteStep(R.DOMINATION, R.SPARSE_IF, (("side", "self"),), v, (w,)),
+                 R.rule_trivially_sparse(w))
+        assert verify_certificate(Certificate(v, Status.SPARSE, steps)) is False
+
     def test_rejects_non_certificate(self):
         with pytest.raises(MalformedCertificateError):
             verify_certificate("not a certificate")

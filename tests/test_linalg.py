@@ -129,6 +129,16 @@ class TestModular:
         assert mod_rank(np.eye(3, dtype=np.int32), P) == 3
         assert mod_rank([[3, 5], [6, 10]], P) == 1
 
+    def test_bareiss_rejects_non_integer_dtype(self):
+        # float entries would be truncated: exact ranks 1 and 2, not 0 and 1
+        for a in ([[0.5]], [[0.5, 0.25], [1, 0]], np.ones((2, 2), dtype=bool),
+                  np.zeros((0, 3)), np.array([[1]], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="not a signed integer type"):
+                bareiss_rank(a)
+        for shape in ((0, 0), (0, 5), (5, 0)):
+            assert bareiss_rank(np.zeros(shape, dtype=np.int64)) == 0
+        assert bareiss_rank([[3, 5], [6, 10]]) == 1
+
     # 4 is composite (the rank "mod 4" would read 1); 1 is no prime; 2^61 - 1
     # and 2^31 + 11 are primes whose residue products overflow int64
     @pytest.mark.parametrize("p", [4, 1, 2**61 - 1, 2**31 + 11, 7.0])

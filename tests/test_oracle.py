@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -272,6 +273,11 @@ class TestOracleDecide:
         # 2^61 - 1 is prime but overflows int64 elimination; 1 and 9 are not prime
         for primes in ([2**61 - 1], [1], [9], [P, 2**61 - 1], [None, 9], []):
             with pytest.raises(ValueError, match="primes"):
+                oracle_decide(parse("1,1,2,2;3"), primes=primes)
+        # entries must be ints, not floats, strings or bools: none is coerced,
+        # and the message quotes the caller's list
+        for primes in ([2147483629.7], ["2147483629"], [True], [P, 7.0]):
+            with pytest.raises(ValueError, match=re.escape(repr(primes))):
                 oracle_decide(parse("1,1,2,2;3"), primes=primes)
         # checked before the trivially-sparse short-circuit
         for primes in ([9], []):
