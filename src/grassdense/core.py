@@ -166,7 +166,10 @@ def normalize(raw: Iterable[int], ambient: int) -> DimensionVector:
     return DimensionVector(kept, ambient)
 
 
-_TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# ASCII numerals only: \d and int() also take other Unicode digits, and int()
+# takes a sign and underscores
+_NUMERAL_RE = re.compile(r"[0-9]+")
+_TERM_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 
 
 def parse(text: str) -> DimensionVector:
@@ -177,13 +180,12 @@ def parse(text: str) -> DimensionVector:
     if s.count(";") != 1:
         raise VectorParseError(f"expected exactly one ';' in {text!r}")
     dims_part, _, n_part = s.partition(";")
-    try:
-        ambient = int(n_part.strip())
-    except ValueError:
-        raise VectorParseError(f"bad ambient dimension {n_part.strip()!r} in {text!r}") from None
+    if not _NUMERAL_RE.fullmatch(n_part.strip()):
+        raise VectorParseError(f"bad ambient dimension {n_part.strip()!r} in {text!r}")
+    ambient = int(n_part.strip())
     raw: list[int] = []
     for term in dims_part.split(","):
-        m = _TERM_RE.match(term.strip())
+        m = _TERM_RE.fullmatch(term.strip())
         if m is None:
             raise VectorParseError(f"bad term {term.strip()!r} in {text!r}")
         base, exp = int(m.group(1)), int(m.group(2) or 1)

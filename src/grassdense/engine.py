@@ -203,6 +203,12 @@ def verify_certificate(cert: Certificate) -> bool:
         if not (isinstance(step.input, DimensionVector) and isinstance(step.outputs, tuple)
                 and all(isinstance(out, DimensionVector) for out in step.outputs)):
             raise MalformedCertificateError("step input or output is not a DimensionVector")
+        if not (isinstance(step.rule_id, str) and isinstance(step.direction, str)):
+            raise MalformedCertificateError("step rule_id or direction is not a str")
+        if not (isinstance(step.params, tuple) and all(
+                isinstance(kv, tuple) and len(kv) == 2 and isinstance(kv[0], str)
+                for kv in step.params)):
+            raise MalformedCertificateError("step params are not (name, value) pairs")
         if step.rule_id not in RULE_IDS:
             raise MalformedCertificateError(f"unknown rule_id {step.rule_id!r}")
         if step.direction not in (IFF, SPARSE_IF, BASE_DENSE, BASE_SPARSE):

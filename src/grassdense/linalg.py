@@ -101,20 +101,28 @@ def _eliminate(m: np.ndarray, p: int) -> int:
     return r
 
 
+def _integer_matrix(a) -> np.ndarray:
+    """a as a 2-D array; ValueError unless it is one with a signed integer dtype."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
+    if a.dtype.kind != "i":
+        raise ValueError(f"matrix dtype {a.dtype} is not a signed integer type")
+    return a
+
+
 def mod_rank(a: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over Z/p.
 
     Eliminates one working copy whose columns are sorted by ascending
     nonzero count (stable), which keeps fill low on sparse systems; the
     rank is that of the input, since column permutations preserve it.
-    Raises ValueError unless p is a prime below 2^31 and a's dtype signed integer.
+    Raises ValueError unless p is a prime below 2^31 and a is 2-D with a
+    signed integer dtype.
     """
     if not is_elimination_prime(p):
         raise ValueError(f"modulus must be a prime below 2^31 (int64 elimination), got {p!r}")
-    a = np.asarray(a)
-    if a.dtype.kind != "i":
-        raise ValueError(f"matrix dtype {a.dtype} is not a signed integer type")
-    a = a.astype(np.int64, copy=False)
+    a = _integer_matrix(a).astype(np.int64, copy=False)
     if a.size == 0:
         return 0
     m = np.take(a, np.argsort(np.count_nonzero(a, axis=0), kind="stable"), axis=1)
@@ -126,12 +134,9 @@ def bareiss_rank(a) -> int:
     """Rank over Q of an integer matrix, via fraction-free Bareiss elimination.
 
     Python-int arithmetic, so no overflow; use on small matrices only.
-    Raises ValueError unless a's dtype is a signed integer type.
+    Raises ValueError unless a is 2-D with a signed integer dtype.
     """
-    a = np.asarray(a)
-    if a.dtype.kind != "i":
-        raise ValueError(f"matrix dtype {a.dtype} is not a signed integer type")
-    m = [[int(x) for x in row] for row in a]
+    m = [[int(x) for x in row] for row in _integer_matrix(a)]
     if not m or not m[0]:
         return 0
     rows, cols = len(m), len(m[0])

@@ -32,9 +32,9 @@ entries of g that no coordinate subspace forces to zero, stacked into one
 system and reduced by one rank computation, over F_p for a prime p or over
 Q for the prime None.  The nullity is the number of kept unknowns minus
 that rank.  The system is empty when every subspace is fixed: for one or
-two subspaces, and whenever the dimensions sum to at most n.  The same
-builder serves any configuration: a chart subspace whose A_i is zero is a
-coordinate subspace and is handled as one, which gives the same kernel.
+two subspaces, and whenever the dimensions sum to at most n.  A chart
+whose A_i is zero stays a chart: its rows force the entries that the block
+at row 0 would, so the kernel is the same.
 
 Soundness.  Let F be the fixed entries.  Tuples (U_i)_{i in F} in general
 position are a dense open subset of prod_{i in F} Gr(d_i, n): for the
@@ -62,7 +62,7 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -86,37 +86,43 @@ class VerdictClass(Enum):
 
 @dataclass(frozen=True)
 class GenericConfiguration:
-    """Sampled point of the product of Grassmannians.
+    """Sampled point of the product of Grassmannians, in slice form.
 
-    subspaces[i] is a signed integer n x d_i matrix over F_prime (prime set) or
-    over Z viewed inside Q (prime None): a chart matrix [I_{d_i}; A_i], or a
-    coordinate block np.eye(n, d_i, k=-s), the span of e_{s+1}..e_{s+d_i}.
-    Validation sets starts[i] = s for a block (a chart with A_i = 0: s = 0), else None.
+    parts[i] is the subspace of dimension d_i = vector.dims[i]: an int s, the
+    coordinate block span(e_{s+1}..e_{s+d_i}) with 0 <= s <= n - d_i, or a
+    signed integer (n - d_i) x d_i array A, the chart point [I_{d_i}; A] over
+    F_prime (prime set) or over Z viewed inside Q (prime None).
     """
 
-    ambient: int
-    subspaces: tuple[np.ndarray, ...]
+    vector: DimensionVector
+    parts: tuple[int | np.ndarray, ...]
     prime: Optional[int]
-    starts: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n, dims = self.vector.ambient, self.vector.dims
+        if len(self.parts) != len(dims):
+            raise ValueError(f"{len(self.parts)} parts for the {len(dims)} entries of {self.vector}")
+        for d, part in zip(dims, self.parts):
+            if isinstance(part, np.ndarray):
+                if part.shape != (n - d, d):
+                    raise ValueError(f"chart shape {part.shape} is not {(n - d, d)} for d={d}, n={n}")
+                if part.dtype.kind != "i":  # floats would be truncated, unsigned -A wraps
+                    raise ValueError(f"chart dtype {part.dtype} is not a signed integer type")
+            elif isinstance(part, bool) or not isinstance(part, int) or not 0 <= part <= n - d:
+                raise ValueError(f"part {part!r} is neither a chart array nor a block start "
+                                 f"in [0, {n - d}] for d={d}, n={n}")
+
+    @property
+    def ambient(self) -> int:
+        return self.vector.ambient
+
+    @property
+    def subspaces(self) -> tuple[np.ndarray, ...]:
+        """The n x d_i matrices: np.eye(n, d_i, k=-s) for a block, [I; A] for a chart."""
         n = self.ambient
-        eye = np.eye(n, dtype=np.int64)  # the block at s is eye[:, s:s + d]
-        starts = []
-        for u in self.subspaces:
-            if u.ndim != 2 or u.shape[0] != n:
-                raise ValueError(f"subspace matrix shape {u.shape} does not match n={n}")
-            if u.dtype.kind != "i":  # floats would be truncated, unsigned A negated wrongly
-                raise ValueError(f"subspace matrix dtype {u.dtype} is not a signed integer type")
-            d = u.shape[1]
-            if d <= n and (u[:d] == eye[:d, :d]).all():
-                starts.append(None if u[d:].any() else 0)  # a chart [I; A]
-                continue
-            s = int(u[:, 0].argmax()) if d <= n else n  # a block's column 0 is e_{s+1}
-            if not (s + d <= n and (u == eye[:, s:s + d]).all()):
-                raise ValueError("subspace matrix is neither a chart [I; A] nor a coordinate block")
-            starts.append(s)
-        object.__setattr__(self, "starts", tuple(starts))
+        return tuple(np.eye(n, d, k=-part, dtype=np.int64) if isinstance(part, int)
+                     else np.vstack([np.eye(d, dtype=np.int64), part])
+                     for d, part in zip(self.vector.dims, self.parts))
 
 
 @dataclass(frozen=True)
@@ -173,39 +179,32 @@ def sample_configuration(
             seed = np.random.SeedSequence([int(seed), prime or 0])
         rng = np.random.default_rng(seed)
     lo, hi = (-_RATIONAL_ENTRY_BOUND, _RATIONAL_ENTRY_BOUND + 1) if prime is None else (0, prime)
-    mats = []
-    for i, di in enumerate(d.dims):
-        if i in start:
-            mats.append(np.eye(n, di, k=-start[i], dtype=np.int64))
-        else:
-            eye = np.eye(di, dtype=np.int64)
-            mats.append(np.vstack([eye, rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)]))
-    return GenericConfiguration(n, tuple(mats), prime)
+    parts = tuple(start[i] if i in start
+                  else rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)
+                  for i, di in enumerate(d.dims))
+    return GenericConfiguration(d, parts, prime)
 
 
 def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
     """The conditions g U_i <= U_i on the entries of g left free.
 
-    A coordinate subspace span(e_j : j in S) only forces g[i, j] = 0 for
-    i not in S, j in S: those unknowns are dropped, and so are its rows.
-    Every other subspace is a chart [I; A] and contributes kron(Q, U^T),
-    Q = [-A | I]: the conditions Q g U = 0 on the row-major entries of g.
-    The result has one column per kept unknown."""
+    A coordinate block span(e_{s+1}..e_{s+d}) only forces g[i, j] = 0 for
+    i outside it and j inside it: those unknowns are dropped, and so are its
+    rows.  A chart [I; A] contributes kron(Q, U^T), Q = [-A | I]: the
+    conditions Q g U = 0 on the row-major entries of g.  The result has one
+    column per kept unknown."""
     n = c.ambient
     forced = np.zeros((n, n), dtype=bool)
-    charts = []
-    for u, s in zip(c.subspaces, c.starts):
-        if s is None:
-            charts.append(u)
-        else:
-            e = s + u.shape[1]
-            forced[:s, s:e] = forced[e:, s:e] = True
+    for d, s in zip(c.vector.dims, c.parts):
+        if isinstance(s, int):
+            forced[:s, s:s + d] = forced[s + d:, s:s + d] = True
     kept = np.flatnonzero(~forced.ravel())
     blocks = [np.zeros((0, kept.size), dtype=np.int64)]
-    for u in charts:
-        a = u[u.shape[1] :]
-        q = np.hstack([-a, np.eye(a.shape[0], dtype=np.int64)])
-        blocks.append(np.kron(q, u.T)[:, kept])
+    for d, a in zip(c.vector.dims, c.parts):
+        if not isinstance(a, int):
+            u_t = np.hstack([np.eye(d, dtype=np.int64), a.T])
+            q = np.hstack([-a, np.eye(n - d, dtype=np.int64)])
+            blocks.append(np.kron(q, u_t)[:, kept])
     return np.vstack(blocks)
 
 

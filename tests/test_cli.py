@@ -65,6 +65,11 @@ class TestDecide:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not isolated_cache.exists()
 
+    @pytest.mark.parametrize("text", ["1;5_0", "1,2;+5", "١,٢;٥"])
+    def test_numeral_outside_grammar_exit3(self, capsys, isolated_cache, text):
+        code, out, err = run(capsys, "decide", text)
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+
     def test_json_record_shape(self, capsys):
         code, out, _ = run(capsys, "decide", "1,1,2,2;3", "--json")
         rec = json.loads(out)

@@ -62,7 +62,10 @@ class TestParseFormat:
         v = parse(text)
         assert (v.dims, v.ambient) == (dims, n)
 
-    @pytest.mark.parametrize("text", ["", "1,2", "1;2;3", "a;3", "1^;3", "(1,2;5", "^2;3"])
+    # int() takes a sign, underscores and non-ASCII digits, and \d the last,
+    # so the last six inputs need numerals checked as ASCII ("1;5_0" is no (1;50))
+    @pytest.mark.parametrize("text", ["", "1,2", "1;2;3", "a;3", "1^;3", "(1,2;5", "^2;3",
+                                      "1;5_0", "1,2;+5", "١,٢;٥", "1,2;٥", "١,2;5", "1^٢;3"])
     def test_parse_errors(self, text):
         with pytest.raises(VectorParseError):
             parse(text)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -276,6 +277,18 @@ class TestVerifyCertificate:
         steps = (RewriteStep(R.DOMINATION, R.SPARSE_IF, (("side", "self"),), v, (w,)),
                  R.rule_trivially_sparse(w))
         assert verify_certificate(Certificate(v, Status.SPARSE, steps)) is False
+
+    def test_non_string_fields_and_bad_params_malformed(self):
+        # unchecked, dict(params) and the rule-id lookup raise ValueError or TypeError
+        cert = self._cert("1,1,2,2;3")
+        leaf = cert.steps[-1]
+        for bad in (dataclasses.replace(leaf, params=("x",)), dataclasses.replace(leaf, params=(1,)),
+                    dataclasses.replace(leaf, params=[("vacuous", True)]),
+                    dataclasses.replace(leaf, params=((1, 2),)),
+                    dataclasses.replace(leaf, rule_id=[leaf.rule_id]),
+                    dataclasses.replace(leaf, direction=[leaf.direction])):
+            with pytest.raises(MalformedCertificateError):
+                verify_certificate(Certificate(cert.root, cert.status, cert.steps[:-1] + (bad,)))
 
     def test_rejects_non_certificate(self):
         with pytest.raises(MalformedCertificateError):

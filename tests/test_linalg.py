@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +140,16 @@ class TestModular:
         for shape in ((0, 0), (0, 5), (5, 0)):
             assert bareiss_rank(np.zeros(shape, dtype=np.int64)) == 0
         assert bareiss_rank([[3, 5], [6, 10]]) == 1
+
+    def test_rejects_non_2d(self):
+        # unchecked, a vector raises AxisError in mod_rank and TypeError in bareiss_rank
+        for a in (np.array([1, 2, 3]), np.array(5), np.zeros((2, 2, 2), dtype=np.int64)):
+            for rank in (lambda m: mod_rank(m, P), bareiss_rank):
+                with pytest.raises(ValueError, match=re.escape(f"2-D, got shape {a.shape}")):
+                    rank(a)
+        for shape in ((0, 0), (0, 5), (5, 0)):
+            assert mod_rank(np.zeros(shape, dtype=np.int64), P) == 0
+            assert bareiss_rank(np.zeros(shape, dtype=np.int64)) == 0
 
     # 4 is composite (the rank "mod 4" would read 1); 1 is no prime; 2^61 - 1
     # and 2^31 + 11 are primes whose residue products overflow int64

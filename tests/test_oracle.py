@@ -43,18 +43,17 @@ def _two_block_configuration(d, prime, seed):
     n = d.ambient
     top, bottom = sorted(range(d.length), reverse=True,
                          key=lambda i: (d.dims[i] * (n - d.dims[i]), d.dims[i], -i))[:2]
-    mats = []
+    parts = []
     for i, di in enumerate(d.dims):
         if i in (top, bottom):
-            mats.append(np.eye(n, di, k=0 if i == top else di - n, dtype=np.int64))
+            parts.append(0 if i == top else n - di)
         else:
-            a = rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)
-            mats.append(np.vstack([np.eye(di, dtype=np.int64), a]))
-    return GenericConfiguration(n, tuple(mats), prime)
+            parts.append(rng.integers(lo, hi, size=(n - di, di), dtype=np.int64))
+    return GenericConfiguration(d, tuple(parts), prime)
 
 
-def small_vectors():
-    return st.integers(2, 6).flatmap(
+def small_vectors(max_n=6):
+    return st.integers(2, max_n).flatmap(
         lambda n: st.lists(st.integers(1, n - 1), min_size=1, max_size=5)
         .map(lambda dims: DimensionVector(tuple(dims), n)))
 
@@ -138,10 +137,8 @@ class TestStabilizerNullity:
         (4, [np.zeros((2, 2))] * 2, 12),        # equal planes: a parabolic
     ])
     def test_known_answers(self, prime, n, charts, nullity):
-        subspaces = tuple(
-            np.vstack([np.eye(n - len(a), dtype=np.int64), np.asarray(a, dtype=np.int64)])
-            for a in charts)
-        c = GenericConfiguration(n, subspaces, prime)
+        parts = tuple(np.asarray(a, dtype=np.int64) for a in charts)
+        c = GenericConfiguration(DimensionVector(tuple(n - len(a) for a in parts), n), parts, prime)
         assert stabilizer_nullity(c) == nullity
 
     def test_two_subspaces_need_no_elimination(self):
@@ -423,30 +420,15 @@ class TestAnomalies:
         assert not r.is_dense and r.stab_dim == 3 and r.anomalies == ()
 
 
-def _eager_check(n, subspaces):
-    """Reference for GenericConfiguration's validation that runs both the
-    chart and the block test on every matrix: the error message, or None."""
-    for u in subspaces:
-        if u.ndim != 2 or u.shape[0] != n:
-            return f"subspace matrix shape {u.shape} does not match n={n}"
-        d = u.shape[1]
-        rows = np.flatnonzero(u.any(axis=1))
-        chart = np.array_equal(u[:d], np.eye(d, dtype=np.int64))
-        block = rows.size == d > 0 and np.array_equal(u, np.eye(n, d, k=-rows[0]))
-        if not (chart or block):
-            return "subspace matrix is neither a chart [I; A] nor a coordinate block"
-    return None
-
-
 def _ix_system(c):
     """Reference for _stabilizer_system that sets the forced entries through
     np.ix_ on each coordinate block's support and its complement."""
     n = c.ambient
     forced = np.zeros((n, n), dtype=bool)
     charts = []
-    for u in c.subspaces:
-        support = np.flatnonzero(u.any(axis=1))
-        if support.size == u.shape[1]:
+    for part, u in zip(c.parts, c.subspaces):
+        if isinstance(part, int):
+            support = np.flatnonzero(u.any(axis=1))
             outside = np.ones(n, dtype=bool)
             outside[support] = False
             forced[np.ix_(outside, support)] = True
@@ -462,93 +444,70 @@ def _ix_system(c):
 
 
 @st.composite
-def subspace_matrices(draw, n):
-    """An n x d chart [I; A], a chart with A = 0 or a coordinate block at any
-    start, then maybe damaged: one stray entry, scaled, its rows or columns
-    permuted, transposed, a unit column appended (n + 1 columns at d = n), or
-    replaced by a block that runs past row n."""
-    d = draw(st.integers(0, n))
-    kind = draw(st.sampled_from(["chart", "zero chart", "block"]))
-    if kind == "block":
-        u = np.eye(n, d, k=-draw(st.integers(0, n - d)), dtype=np.int64)
-    else:
-        a = draw(arrays(np.int64, (n - d, d), elements=st.integers(-3, 3)))
-        u = np.vstack([np.eye(d, dtype=np.int64), a if kind == "chart" else 0 * a])
-    damage = draw(st.sampled_from(["none", "stray", "scale", "rows", "columns", "transpose",
-                                   "extra column", "past row n"]))
-    if damage == "stray" and d:
-        u[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] += draw(st.sampled_from([-2, 1, 3]))
-    elif damage == "scale":
-        u = u * draw(st.sampled_from([-1, 0, 2]))
-    elif damage == "rows":
-        u = u[draw(st.permutations(range(n)))]
-    elif damage == "columns":
-        u = u[:, draw(st.permutations(range(d)))]
-    elif damage == "transpose":
-        u = u.T.copy()
-    elif damage == "extra column":
-        u = np.hstack([u, np.eye(n, 1, k=-draw(st.integers(0, n - 1)), dtype=np.int64)])
-    elif damage == "past row n" and d:
-        u = np.eye(n, d, k=-draw(st.integers(n - d + 1, n)), dtype=np.int64)
-    return u
-
-
-@st.composite
-def subspace_tuples(draw):
-    n = draw(st.integers(1, 7))
-    return n, tuple(draw(st.lists(subspace_matrices(n), min_size=1, max_size=3)))
+def configurations(draw):
+    """A configuration over F_P with n <= 7 whose entries are, at random,
+    blocks at any start (so blocks may overlap), zero charts or random charts."""
+    d = draw(small_vectors(max_n=7))
+    n, parts = d.ambient, []
+    for di in d.dims:
+        kind = draw(st.sampled_from(["block", "zero chart", "chart"]))
+        if kind == "block":
+            parts.append(draw(st.integers(0, n - di)))
+        else:
+            a = draw(arrays(np.int64, (n - di, di), elements=st.integers(-3, 3)))
+            parts.append(a if kind == "chart" else 0 * a)
+    return GenericConfiguration(d, tuple(parts), P)
 
 
 class TestGenericConfiguration:
-    def test_validates_shapes(self):
-        with pytest.raises(ValueError):
-            GenericConfiguration(4, (np.zeros((3, 1), dtype=np.int64),), P)
-        with pytest.raises(ValueError):
-            GenericConfiguration(4, (np.zeros((4, 2), dtype=np.int64),), P)
-        with pytest.raises(ValueError):
-            GenericConfiguration(4, (np.array([[2], [0], [0], [1]], dtype=np.int64),), P)
-        GenericConfiguration(4, (np.eye(4, 2, k=-2, dtype=np.int64),), P)
-
     def test_accepts_coordinate_block_anywhere(self):
         for start in range(4):
-            GenericConfiguration(5, (np.eye(5, 2, k=-start, dtype=np.int64),), P)
-        # a chart whose A is zero is the top block
-        GenericConfiguration(5, (np.eye(5, 2, dtype=np.int64),), None)
+            c = GenericConfiguration(parse("2;5"), (start,), P)
+            assert (c.subspaces[0] == np.eye(5, 2, k=-start, dtype=np.int64)).all()
+        # a zero chart stays a chart, of any signed integer dtype
+        chart = np.zeros((3, 2), dtype=np.int32)
+        c = GenericConfiguration(parse("1,2;5"), (4, chart), None)
+        assert c.parts[1] is chart and (c.subspaces[1] == np.eye(5, 2, dtype=np.int64)).all()
+        assert _stabilizer_system(c).shape == (6, 25 - 4)
 
-    def test_rejects_other_coordinate_matrices(self):
-        permuted = np.eye(5, 2, k=-1, dtype=np.int64)[:, ::-1]
-        stray = np.eye(5, 2, k=-1, dtype=np.int64)
-        stray[4, 0] = 3
-        scaled = 2 * np.eye(5, 2, k=-2, dtype=np.int64)
-        cut_off = np.eye(5, 2, k=-4, dtype=np.int64)  # rank 1: runs past row n
-        for u in (permuted, stray, scaled, cut_off):
-            with pytest.raises(ValueError, match="coordinate block"):
-                GenericConfiguration(5, (u,), P)
+    def test_validates_shapes(self):
+        d, chart = parse("1,2;5"), np.zeros((3, 2), dtype=np.int64)
+        for parts in [(0,), (0, chart, 0), ()]:
+            with pytest.raises(ValueError, match="parts for the 2 entries"):
+                GenericConfiguration(d, parts, P)
+        for a in (np.zeros((2, 3), dtype=np.int64), np.zeros((3, 1), dtype=np.int64),
+                  np.zeros(6, dtype=np.int64), np.zeros((5, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match="chart shape"):
+                GenericConfiguration(d, (0, a), P)
 
-    @given(subspace_tuples())
-    @settings(max_examples=400, deadline=None)
-    def test_same_verdicts_as_eager_check(self, case):
-        n, subspaces = case
-        try:
-            GenericConfiguration(n, subspaces, P)
-            message = None
-        except ValueError as exc:
-            message = str(exc)
-        assert message == _eager_check(n, subspaces)
+    def test_rejects_bad_starts(self):
+        # a start must be an int in [0, n - d], not a bool
+        chart = np.zeros((3, 2), dtype=np.int64)
+        for parts in [(5, chart), (-1, chart), (0, 4), (True, chart), (False, chart),
+                      (0, 1.0), (0, None)]:
+            with pytest.raises(ValueError, match="neither a chart array nor a block start"):
+                GenericConfiguration(parse("1,2;5"), parts, P)
+
+    @given(configurations())
+    @settings(max_examples=300, deadline=None)
+    def test_system_matches_references(self, c):
+        m, ref = _stabilizer_system(c), _ix_system(c)
+        assert m.shape == ref.shape and (m == ref).all()
+        assert stabilizer_nullity(c) == c.ambient ** 2 - mod_rank(_full_system(c), P)
 
 
 class TestNonIntegerMatrices:
     def test_float_chart_rejected(self):
         # [1; 0.5; 0] would be truncated to A = 0, nullity 5 instead of 3
-        blocks = (np.eye(3, 1, dtype=np.int64), np.eye(3, 1, k=-2, dtype=np.int64))
+        d, blocks = parse("1^3;3"), (0, 2)
         with pytest.raises(ValueError, match="integer"):
-            GenericConfiguration(3, (np.array([[1], [0.5], [0]]),) + blocks, P)
-        half = np.array([[1], [(P + 1) // 2], [0]], dtype=np.int64)  # 1/2 in F_P
-        assert stabilizer_nullity(GenericConfiguration(3, (half,) + blocks, P)) == 3
+            GenericConfiguration(d, (np.array([[0.5], [0]]),) + blocks, P)
+        half = np.array([[(P + 1) // 2], [0]], dtype=np.int64)  # 1/2 in F_P
+        assert stabilizer_nullity(GenericConfiguration(d, (half,) + blocks, P)) == 3
         # an unsigned chart's -A wraps: -1 reads 255 over uint8
-        for u in (np.eye(3, 1, dtype=bool), np.array([[1], [1], [0]], dtype=np.uint8)):
+        for a in (np.zeros((2, 1), dtype=bool), np.array([[1], [0]], dtype=np.uint8)):
             with pytest.raises(ValueError, match="integer"):
-                GenericConfiguration(3, (u,) + blocks, P)
+                GenericConfiguration(d, (a,) + blocks, P)
 
 
 class TestForcedMask:
@@ -559,25 +518,6 @@ class TestForcedMask:
             c = sample_configuration(parse(text), prime=prime, seed=seed)
             m, ref = _stabilizer_system(c), _ix_system(c)
             assert m.shape == ref.shape and (m == ref).all()
-
-    @given(subspace_tuples())
-    @settings(max_examples=400, deadline=None)
-    def test_starts_match_index_supports(self, case):
-        # on every configuration validation accepts, the recorded start is
-        # where _ix_system finds a block's support, and None on its charts
-        n, subspaces = case
-        try:
-            c = GenericConfiguration(n, subspaces, P)
-        except ValueError:
-            return
-        for u, s in zip(c.subspaces, c.starts):
-            support = np.flatnonzero(u.any(axis=1))
-            if support.size == u.shape[1]:
-                assert s is not None and np.array_equal(support, np.arange(s, s + u.shape[1]))
-            else:
-                assert s is None
-        m, ref = _stabilizer_system(c), _ix_system(c)
-        assert m.shape == ref.shape and (m == ref).all()
 
     @given(small_vectors(), st.sampled_from([P, None]), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
