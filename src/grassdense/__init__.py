@@ -11,7 +11,7 @@ Engine().decide may answer Unknown; only `grassdense decide` then falls back
 to oracle_decide, whose OracleReport is the oracle's answer.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .core import (
     AmbientMismatchError,
@@ -20,7 +20,6 @@ from .core import (
     Status,
     VacuousVectorError,
     VectorParseError,
-    Verdict,
     normalize,
     parse,
 )
@@ -29,6 +28,7 @@ from .engine import (
     Certificate,
     Engine,
     MalformedCertificateError,
+    Verdict,
     verify_certificate,
 )
 from .oracle import (

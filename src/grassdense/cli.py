@@ -31,8 +31,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .core import DimensionVector, Status, Verdict, parse
-from .engine import Engine, Certificate
+from .core import DimensionVector, Status, parse
+from .engine import Engine, Certificate, Verdict
 from .families import classification_json, classify_size, enumerate_vectors, \
     fibonacci_family, repeat_family
 from .oracle import OracleReport, VerdictClass, oracle_decide

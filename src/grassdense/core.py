@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class MalformedVectorError(ValueError):
@@ -203,15 +203,3 @@ class Status(Enum):
     SPARSE = "Sparse"
     UNKNOWN = "Unknown"
 
-
-@dataclass(frozen=True)
-class Verdict:
-    """The engine's answer.  A Dense verdict always carries its certificate;
-    the oracle answers with an oracle.OracleReport, never with a Verdict."""
-
-    status: Status
-    certificate: Optional[object] = None  # engine.Certificate
-
-    def __post_init__(self) -> None:
-        if self.status is Status.DENSE and self.certificate is None:
-            raise ValueError("Dense verdict requires a certificate")

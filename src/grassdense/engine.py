@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DimensionVector, Status, Verdict
+from .core import DimensionVector, Status
 from . import rules
 from .rules import (
     RewriteStep, BASE_DENSE, BASE_SPARSE, IFF, SPARSE_IF,
@@ -44,6 +44,18 @@ class Certificate:
     root: DimensionVector
     status: Status
     steps: tuple[RewriteStep, ...]
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The engine's answer: Unknown without a certificate, otherwise the
+    certificate's status.  The oracle answers with an oracle.OracleReport."""
+
+    certificate: Optional[Certificate] = None
+
+    @property
+    def status(self) -> Status:
+        return Status.UNKNOWN if self.certificate is None else self.certificate.status
 
 
 # nodes one decide call may search; read at call time
@@ -102,8 +114,7 @@ class Engine:
     def decide(self, d: DimensionVector) -> Verdict:
         self.last_nodes = 0
         self.last_budget_exhausted = False
-        cert = self._certify(d, set())
-        return Verdict(Status.UNKNOWN) if cert is None else Verdict(cert.status, cert)
+        return Verdict(self._certify(d, set()))
 
     def _certify(self, d: DimensionVector,
                  visited: set[DimensionVector]) -> Optional[Certificate]:

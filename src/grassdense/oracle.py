@@ -84,7 +84,7 @@ class VerdictClass(Enum):
     MONTE_CARLO_SPARSE = "MonteCarloSparse"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy parts: compared and hashed by identity
 class GenericConfiguration:
     """Sampled point of the product of Grassmannians, in slice form.
 
@@ -127,20 +127,55 @@ class GenericConfiguration:
 
 @dataclass(frozen=True)
 class OracleReport:
+    """The oracle's answer: the (prime, PGL-stabilizer dimension) of each
+    sample run, in order, from seed.  Everything else is read off them: a
+    dense witness is the last sample, its field and spawned child (seed, index)."""
+
     vector: DimensionVector
-    primes: tuple[Optional[int], ...]
-    prime: Optional[int]  # prime of the decisive (or best) sample
     seed: int
-    samples: int  # samples actually run
-    stab_dims: tuple[tuple[Optional[int], int], ...]  # (prime, pgl stab dim) per sample
-    stab_dim: Optional[int]  # best (minimal) observed; None when no sample ran
-    expected: int
-    verdict_class: VerdictClass
-    anomalies: tuple[str, ...] = ()
+    stab_dims: tuple[tuple[Optional[int], int], ...]
+
+    @property
+    def expected(self) -> int:
+        return self.vector.expected_stab_dim
+
+    @property
+    def samples(self) -> int:
+        return len(self.stab_dims)
+
+    @property
+    def primes(self) -> tuple[Optional[int], ...]:  # the fields used, in first-use order
+        return tuple(dict.fromkeys(p for p, _ in self.stab_dims))
+
+    @property
+    def prime(self) -> Optional[int]:  # of the first minimal sample: the decisive one when dense
+        return min(self.stab_dims, key=lambda pt: pt[1])[0] if self.stab_dims else None
+
+    @property
+    def stab_dim(self) -> Optional[int]:  # the minimal one observed; None when no sample ran
+        return min(t for _, t in self.stab_dims) if self.stab_dims else None
 
     @property
     def is_dense(self) -> bool:
-        return self.verdict_class is VerdictClass.CERTIFIED_DENSE
+        return bool(self.stab_dims) and self.stab_dims[-1][1] == self.expected
+
+    @property
+    def verdict_class(self) -> VerdictClass:
+        return VerdictClass.CERTIFIED_DENSE if self.is_dense else VerdictClass.MONTE_CARLO_SPARSE
+
+    @property
+    def anomalies(self) -> tuple[str, ...]:
+        """A dense sample after higher ones, or Monte Carlo minima that differ by prime."""
+        d, observed, anomalies = self.vector, self.stab_dims, []
+        if self.is_dense and len(observed) > 1:
+            anomalies.append(f"{d}: expected stabilizer dim {self.expected} reached at sample "
+                             f"{len(observed) - 1} after samples with dims "
+                             f"{[t for _, t in observed[:-1]]} (prime artifact?)")
+        elif not self.is_dense:
+            per_prime = {p: min(t for q, t in observed if q == p) for p, _ in observed}
+            if len(set(per_prime.values())) > 1:
+                anomalies.append(f"{d}: minimal stabilizer dim differs across primes: {per_prime}")
+        return tuple(anomalies)
 
 
 def _slice(d: DimensionVector) -> dict[int, int]:
@@ -224,18 +259,18 @@ def oracle_decide(
     primes: Optional[Sequence[Optional[int]]] = None,
     seed: int = 0,
 ) -> OracleReport:
-    """Sample stabilizer dimensions and classify.
+    """Sample stabilizer dimensions until one certifies density.
 
     primes is the cycle of fields the samples use in turn: a prime p below
     2^31 (so residue products stay exact in int64) samples over F_p, None
     samples over Q.  The default is two distinct random primes from seed,
-    each drawn when a sample first uses it; the report lists those drawn.
-    samples >= 1 and seed >= 0 are ints, not bools.  CertifiedDense as soon
-    as one sample's PGL-stabilizer dimension equals expected_stab_dim(d) >= 0;
-    otherwise MonteCarloSparse.  Trivially sparse vectors short-circuit with
-    zero samples (that verdict is deterministic), after the arguments are
-    checked.  A dense sample after higher ones, or Monte Carlo minima that
-    differ by prime, is listed in the report's anomalies.
+    each drawn when a sample first uses it.  samples >= 1 and seed >= 0 are
+    ints, not bools.  Sampling stops at the first sample whose
+    PGL-stabilizer dimension equals expected_stab_dim(d) >= 0.  Trivially
+    sparse vectors short-circuit with zero samples (that verdict is
+    deterministic), after the arguments are checked.  The report keeps the
+    (prime, dimension) of every sample run and reads its verdict, its
+    primes and its anomalies off them.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an int >= 1, got {samples!r}")
@@ -248,10 +283,9 @@ def oracle_decide(
                              f"(int64 elimination), got {primes}")
         primes = [None if p is None else int(p) for p in primes]
     expected = d.expected_stab_dim
-    prime_cycle: list[Optional[int]] = []
     observed: list[tuple[Optional[int], int]] = []  # (prime, stab) per sample run
     if expected >= 0:
-        prime_cycle = primes or []
+        prime_cycle: list[Optional[int]] = primes or []
         if primes is None:  # two distinct primes, each drawn when a sample first uses it
             prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
         charted = len(_slice(d)) < d.length  # else no sample draws, nor needs a seed
@@ -270,22 +304,4 @@ def oracle_decide(
             observed.append((p, stab))
             if stab == expected:
                 break
-
-    dense = bool(observed) and observed[-1][1] == expected
-    anomalies: list[str] = []
-    if dense and len(observed) > 1:
-        anomalies.append(f"{d}: expected stabilizer dim {expected} reached at sample "
-                         f"{len(observed) - 1} after samples with dims "
-                         f"{[t for _, t in observed[:-1]]} (prime artifact?)")
-    elif not dense:
-        per_prime = {p: min(t for q, t in observed if q == p) for p, _ in observed}
-        if len(set(per_prime.values())) > 1:
-            anomalies.append(f"{d}: minimal stabilizer dim differs across primes: {per_prime}")
-    # the first minimal sample: the decisive one when dense
-    best_prime, best = min(observed, key=lambda pt: pt[1]) if observed else (None, None)
-    return OracleReport(
-        vector=d, primes=tuple(prime_cycle), prime=best_prime, seed=seed,
-        samples=len(observed), stab_dims=tuple(observed), stab_dim=best, expected=expected,
-        verdict_class=VerdictClass.CERTIFIED_DENSE if dense else VerdictClass.MONTE_CARLO_SPARSE,
-        anomalies=tuple(anomalies),
-    )
+    return OracleReport(d, int(seed), tuple(observed))

@@ -6,8 +6,8 @@ import pytest
 from grassdense import __version__, cli, oracle
 from grassdense.cli import EXIT_DENSE, EXIT_SPARSE, EXIT_USAGE, RULE_LABELS, main
 from grassdense import rules
-from grassdense.core import Status, Verdict, parse
-from grassdense.engine import Engine
+from grassdense.core import Status, parse
+from grassdense.engine import Engine, Verdict
 
 # an engine-dense vector that the engine_gives_up fixture sends to the oracle
 ORACLE_BOUND = "1,1,1,1,5;6"
@@ -29,7 +29,7 @@ def engine_gives_up(monkeypatch):
 
     def decide(self, d):
         if d.canonical() == parse(ORACLE_BOUND).canonical():
-            return Verdict(Status.UNKNOWN)
+            return Verdict()
         return real(self, d)
     monkeypatch.setattr(Engine, "decide", decide)
     return real
@@ -88,7 +88,7 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", "1,1,1,1,2;4", "--json", "--no-cache")
         assert code == EXIT_SPARSE and json.loads(out)["method"] == "engine"
         assert json.loads(out)["trivially_sparse"] is True
-        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict(Status.UNKNOWN))
+        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict())
         code, out, _ = run(capsys, "decide", "1,1,1,1,2;4", "--json", "--no-cache")
         assert code == EXIT_SPARSE and json.loads(out)["method"] == "oracle"
         assert json.loads(out)["trivially_sparse"] is True
@@ -125,11 +125,26 @@ class TestDecide:
         # the oracle agrees with the unstarved engine
         assert rec["status"] == engine_gives_up(Engine(), parse(ORACLE_BOUND)).status.value
 
+    @pytest.mark.parametrize("vector, exit_code, block", [
+        ("1,10^4;16", EXIT_DENSE,
+         {"anomalies": [], "class": "CertifiedDense", "expected": 0, "prime": 1100870443,
+          "primes": [1100870443], "samples": 1, "seed": 0, "stab_dim": 0}),
+        ("7^2,9,14,20;22", EXIT_SPARSE,
+         {"anomalies": [], "class": "MonteCarloSparse", "expected": 4, "prime": 1100870443,
+          "primes": [1100870443, 1834526951], "samples": 3, "seed": 0, "stab_dim": 6}),
+    ])
+    def test_real_oracle_fallback_pinned(self, capsys, vector, exit_code, block):
+        # the unpatched engine leaves these Unknown, so decide asks the oracle
+        assert Engine().decide(parse(vector)).status is Status.UNKNOWN
+        code, out, _ = run(capsys, "decide", vector, "--json", "--no-cache")
+        rec = json.loads(out)
+        assert (code, rec["method"], rec["trace"], rec["oracle"]) == (exit_code, "oracle", [], block)
+
     def test_anomalies_in_record_and_on_stderr(self, capsys, monkeypatch):
         # per-prime minima 4 and 3 on a vector expecting 2
         stabs = iter([4, 3, 5, 4])
         monkeypatch.setattr(oracle, "stabilizer_nullity", lambda c: next(stabs) + 1)
-        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict(Status.UNKNOWN))
+        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict())
         code, out, err = run(capsys, "decide", "1,3,3,3;5", "--json", "--samples", "4")
         (anomaly,) = json.loads(out)["oracle"]["anomalies"]
         assert code == EXIT_SPARSE and "differs across primes" in anomaly
@@ -337,13 +352,14 @@ class TestOtherCommands:
         real_decide, real_oracle = Engine.decide, cli.oracle_decide
 
         def decide(self, d):
-            return Verdict(Status.UNKNOWN) if d == parse("1,1,2,2;3") else real_decide(self, d)
+            return Verdict() if d == parse("1,1,2,2;3") else real_decide(self, d)
 
         def oracle_decide(d, samples, seed):
             rep = real_oracle(d, samples=samples, seed=seed)
             if d != parse("2,3,3;4"):
                 return rep
-            return dataclasses.replace(rep, verdict_class=oracle.VerdictClass.MONTE_CARLO_SPARSE)
+            # every sample one above the dense answer: Monte Carlo sparse
+            return dataclasses.replace(rep, stab_dims=tuple((p, t + 1) for p, t in rep.stab_dims))
 
         monkeypatch.setattr(Engine, "decide", decide)
         monkeypatch.setattr(cli, "oracle_decide", oracle_decide)

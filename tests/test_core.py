@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from grassdense.core import (
     AmbientMismatchError, DimensionVector, MalformedVectorError, Status,
-    VacuousVectorError, VectorParseError, Verdict, normalize, parse,
+    VacuousVectorError, VectorParseError, normalize, parse,
 )
+from grassdense.engine import Engine, Verdict
 
 
 def vectors(max_n=12, max_len=8):
@@ -149,14 +152,9 @@ class TestDominates:
 
 
 class TestVerdict:
-    def test_dense_requires_evidence(self):
-        with pytest.raises(ValueError, match="certificate"):
-            Verdict(Status.DENSE)
-
-    def test_has_no_oracle_report(self):
-        # a Verdict is the engine's answer; an OracleReport is the oracle's
-        with pytest.raises(TypeError):
-            Verdict(Status.DENSE, oracle=object())
-
-    def test_sparse_bare_ok(self):
-        assert Verdict(Status.SPARSE).status is Status.SPARSE
+    def test_status_is_the_certificates(self):
+        assert [f.name for f in dataclasses.fields(Verdict)] == ["certificate"]
+        assert Verdict().status is Status.UNKNOWN
+        for text in ("1,2,2;5", "1,1,2,2;3"):
+            c = Engine().decide(parse(text)).certificate
+            assert Verdict(c).status is c.status

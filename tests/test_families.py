@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from grassdense.core import DimensionVector, Status, Verdict, parse
-from grassdense.engine import Engine
+from grassdense.core import DimensionVector, Status, parse
+from grassdense.engine import Engine, Verdict
 from grassdense.families import (
     FamilyRule, SizeClassification, _balanced_dense, classification_json, classify_size,
     enumerate_vectors, fibonacci_family, repeat_family,
@@ -170,7 +170,7 @@ class TestClassifySize:
         # no oracle fallback: a candidate the engine leaves Unknown stops classify
         stuck = parse("(1,2,4^2;5)")  # engine-dense, outside the window check
         real = Engine.decide
-        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict(Status.UNKNOWN)
+        monkeypatch.setattr(Engine, "decide", lambda self, d: Verdict()
                             if d == stuck else real(self, d))
         with pytest.raises(RuntimeError, match=r"\(1,2,4\^2;5\)"):
             classify_size(4)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import re
 import sys
 
@@ -6,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grassdense import oracle
+from grassdense import cli, oracle
 from grassdense.core import DimensionVector, parse
 from grassdense.linalg import _eliminate, is_probable_prime, mod_rank, random_prime
 from grassdense.oracle import (
-    GenericConfiguration, VerdictClass, _stabilizer_system, oracle_decide,
+    GenericConfiguration, OracleReport, VerdictClass, _stabilizer_system, oracle_decide,
     sample_configuration, stabilizer_nullity,
 )
 
@@ -254,6 +256,23 @@ class TestOracleDecide:
         r = oracle_decide(parse("2,2,2;4"), samples=2, seed=0, primes=[P])
         assert r.primes == (P,) and r.prime == P
 
+    def test_primes_are_the_fields_used(self):
+        # dense at its first sample, so the cycle's second field is never used
+        q = 2_147_483_587
+        r = oracle_decide(parse("2,2,2;4"), samples=3, primes=[P, q])
+        assert r.is_dense and r.stab_dims == ((P, 3),) and r.primes == (P,)
+
+    def test_report_holds_only_its_evidence(self):
+        assert [f.name for f in dataclasses.fields(OracleReport)] == ["vector", "seed", "stab_dims"]
+        r = OracleReport(parse("1,3,3,3;5"), 0, ((P, 4), (None, 3), (P, 3)))
+        assert (r.samples, r.expected, r.primes, r.prime, r.stab_dim) == (3, 2, (P, None), None, 3)
+        assert not r.is_dense and r.verdict_class is VerdictClass.MONTE_CARLO_SPARSE
+
+    def test_numpy_seed_stored_as_int(self):
+        r = oracle_decide(parse("1,3,3,3;5"), samples=2, seed=np.int64(1))
+        assert type(r.seed) is int and r == oracle_decide(parse("1,3,3,3;5"), samples=2, seed=1)
+        assert json.loads(json.dumps(cli._oracle_json(r)))["seed"] == 1
+
     def test_mixed_cycle(self):
         r = oracle_decide(parse("1,3,3,3;5"), samples=4, seed=1, primes=[P, None])
         assert r.primes == (P, None) and not r.is_dense
@@ -487,6 +506,11 @@ class TestGenericConfiguration:
                       (0, 1.0), (0, None)]:
             with pytest.raises(ValueError, match="neither a chart array nor a block start"):
                 GenericConfiguration(parse("1,2;5"), parts, P)
+
+    def test_charted_samples_compare_and_hash(self):
+        # by identity: the generated __eq__ would compare the chart arrays
+        a, b = (sample_configuration(parse("1,3,3,3;5"), P, 1) for _ in range(2))
+        assert a == a and a != b and len({a, b}) == 2
 
     @given(configurations())
     @settings(max_examples=300, deadline=None)
