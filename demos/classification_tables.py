@@ -5,7 +5,7 @@ For each size l <= 4 the dense vectors split into banded families (excess
 at most l, membership decided by a profile lookup in ambient dimension
 excess) plus a finite exceptional list.  This script prints the tables,
 then replays a size-2 sweep against the engine to show the closed form and
-the search agree vector-by-vector.  Run:
+the engine agree vector-by-vector.  Run:
 
     python demos/classification_tables.py [--max-size 3]
 """

@@ -209,8 +209,12 @@ def _at_least(low: int, text: str) -> int:  # checked before any work starts
     return int(text)
 
 
-def _samples(text: str) -> int:
+def _positive(text: str) -> int:
     return _at_least(1, text)
+
+
+def _ambient(text: str) -> int:
+    return _at_least(2, text)
 
 
 def _seed(text: str) -> int:
@@ -311,14 +315,14 @@ def _build_parser() -> _Parser:
     d.add_argument("--json", action="store_true")
     d.add_argument("--trace", action="store_true")
     d.add_argument("--seed", type=_seed, default=0)
-    d.add_argument("--samples", type=_samples, default=3)
+    d.add_argument("--samples", type=_positive, default=3)
     d.add_argument("--no-cache", action="store_true")
     d.set_defaults(fn=cmd_decide)
 
     v = sub.add_parser("verify", help="sweep engine against the sampling oracle")
-    v.add_argument("--max-n", type=int, required=True)
+    v.add_argument("--max-n", type=_ambient, required=True)
     v.add_argument("--seed", type=_seed, default=0)
-    v.add_argument("--samples", type=_samples, default=2)
+    v.add_argument("--samples", type=_positive, default=2)
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("classify", help="classification of dense vectors by maximal entry")
@@ -327,9 +331,9 @@ def _build_parser() -> _Parser:
     c.set_defaults(fn=cmd_classify)
 
     e = sub.add_parser("enumerate", help="list vectors in graded order")
-    e.add_argument("--max-n", type=int, required=True)
-    e.add_argument("--max-len", type=int, required=True)
-    e.add_argument("--max-size", type=int, default=None)
+    e.add_argument("--max-n", type=_ambient, required=True)
+    e.add_argument("--max-len", type=_positive, required=True)
+    e.add_argument("--max-size", type=_positive, default=None)
     e.add_argument("--json", action="store_true")
     e.set_defaults(fn=cmd_enumerate)
 

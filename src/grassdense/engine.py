@@ -1,20 +1,25 @@
-"""Decision engine: decide density by searching the rewrite rules.
+"""Decision engine: decide density by walking one chain of rewrite rules.
 
-The engine runs a depth-first search over canonical forms (lex-smaller of a
-vector and its complement).  Every Engine searches the same registered
-rules; it takes no options.  Base rules, the dimension count first, settle a
-vector outright; Iff reductions recurse into a smaller vector; the one
-SparseIf edge, domination of a known sparse vector, can only propagate
-sparseness upward.  Engine.memo maps each settled canonical form to its
-Certificate for the lifetime of the Engine, which its caller holds.  Unknown
-lives only in one decide call's visited set: a later call searches again.  A
-call searches at most NODE_BUDGET nodes, counted live in last_nodes.
+At each canonical form (lex-smaller of a vector and its complement) that is
+not in the memo, the walk takes the first step that applies: the first base
+rule that fires, the dimension count first (a leaf); else domination; else
+the first step of the first reduction in registry order, on the form before
+its complement.  A vacuous step is a Dense leaf.  No second step is ever
+tried: a form met twice in one call, or one where no rule fires, answers
+Unknown.  Engine.memo keeps each form walked with its suffix of the chain
+for the lifetime of the Engine, which its caller holds; Unknown is never
+memoized.  last_nodes counts the forms the latest call walked.
 
-Every settled verdict carries a Certificate: a chain of rewrite steps from
-the queried vector down to a leaf (a base-rule hit or a vacuous rewrite).
-verify_certificate re-fires every step independently of the engine, and
-calls a step of an unregistered rule malformed, so certificates are
-checkable artifacts.
+Every reduction is Iff.  Domination, the one SparseIf step, always points at
+a seed, which its own base step proves sparse other than by the dimension
+count; each base rule fires on a vector iff it fires on the complement, so
+the walk ends at the seed's Sparse leaf.  As defence in depth, a chain with
+a SparseIf step that ends at a Dense leaf answers Unknown, so the engine
+never emits a certificate that verify_certificate rejects.
+
+A settled verdict carries its Certificate: the chain from the queried vector
+to a leaf.  verify_certificate re-fires every step independently of the
+engine, and calls a step of an unregistered rule malformed.
 """
 
 from __future__ import annotations
@@ -58,27 +63,18 @@ class Verdict:
         return Status.UNKNOWN if self.certificate is None else self.certificate.status
 
 
-# nodes one decide call may search; read at call time
-NODE_BUDGET = 50_000
-
 # the domination seed store covers ambients and lengths up to these
 DOMINATION_AMBIENT_CAP = 12
 DOMINATION_LEN_CAP = 6
 
 
 class Engine:
-    """Rule search with a memo of certificates.  Each decide call
-    searches at most NODE_BUDGET nodes and visits each canonical form at
-    most once: a form already visited in the call and not in the memo is in
-    progress or failed, so it answers Unknown.  A repeated step costs no
-    node: the first try left its child in the memo, in the visited set, or
-    past the budget."""
+    """The walk, with a memo of certificates by canonical form."""
 
     def __init__(self):
         self.memo: dict[DimensionVector, Certificate] = {}
         self._seed_cache: dict[int, tuple[DimensionVector, ...]] = {}
         self.last_nodes = 0
-        self.last_budget_exhausted = False
 
     # -- domination seed store ------------------------------------------
 
@@ -109,58 +105,55 @@ class Engine:
                 return step
         return None
 
-    # -- search ----------------------------------------------------------
+    # -- walk ----------------------------------------------------------------
 
     def decide(self, d: DimensionVector) -> Verdict:
         self.last_nodes = 0
-        self.last_budget_exhausted = False
-        return Verdict(self._certify(d, set()))
-
-    def _certify(self, d: DimensionVector,
-                 visited: set[DimensionVector]) -> Optional[Certificate]:
-        """d's certificate, or None: Unknown in this call."""
-        rep = d.canonical()
-        cert = self.memo.get(rep)
-        if cert is None:
-            if rep in visited:
-                return None
-            if self.last_nodes >= NODE_BUDGET:
-                self.last_budget_exhausted = True
-                return None
+        steps: list[RewriteStep] = []
+        walked: dict[DimensionVector, int] = {}  # form -> where its suffix starts
+        form = d
+        while True:
+            rep = form.canonical()
+            if rep != form:
+                steps.append(rules.rule_complement(form))
+            cert = self.memo.get(rep)
+            if cert is not None:
+                steps += cert.steps
+                break
+            if rep in walked:
+                return Verdict()
+            walked[rep] = len(steps)
             self.last_nodes += 1
-            visited.add(rep)
-            cert = self._search(rep, visited)
-            if cert is None:
-                return None
-            self.memo[rep] = cert
-        if rep == d:
-            return cert
-        return Certificate(d, cert.status, (rules.rule_complement(d),) + cert.steps)
+            nxt = self._first_steps(rep)
+            if not nxt:
+                return Verdict()
+            steps += nxt
+            if _leaf_status(nxt[-1]) is not None:
+                break
+            form = nxt[-1].outputs[0]
+        status = _leaf_status(steps[-1])
+        if status is Status.DENSE and any(s.direction == SPARSE_IF for s in steps):
+            return Verdict()
+        for rep, start in walked.items():
+            self.memo[rep] = Certificate(rep, status, tuple(steps[start:]))
+        return Verdict(Certificate(d, status, tuple(steps)))
 
-    def _search(self, rep: DimensionVector,
-                visited: set[DimensionVector]) -> Optional[Certificate]:
-        """rep's certificate: a base step, domination, or a decided reduction."""
+    def _first_steps(self, rep: DimensionVector) -> tuple[RewriteStep, ...]:
+        """rep's first step, after the complement step a reduction on the
+        complement needs; () when no rule fires."""
         step = self._base_step(rep)
+        if step is None:
+            step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
         if step is not None:
-            return Certificate(rep, _leaf_status(step), (step,))
-
-        step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
-        if step is not None:
-            child = self._certify(step.outputs[0], visited)
-            if child is not None and child.status is Status.SPARSE:
-                return Certificate(rep, Status.SPARSE, (step,) + child.steps)
-
-        # every reduction is Iff, so any decided child settles rep
-        sides = ((rep, ()), (rep.complement(), (rules.rule_complement(rep),)))
+            return (step,)
         for fn in rules.REDUCTION_RULES.values():
-            for side, prefix in sides:
-                for step in fn(side):
-                    if step.is_vacuous:
-                        return Certificate(rep, Status.DENSE, prefix + (step,))
-                    child = self._certify(step.outputs[0], visited)
-                    if child is not None:
-                        return Certificate(rep, child.status, prefix + (step,) + child.steps)
-        return None
+            found = fn(rep)
+            if found:
+                return (found[0],)
+            found = fn(rep.complement())
+            if found:
+                return (rules.rule_complement(rep), found[0])
+        return ()
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ relates it to smaller vectors:
 The rule_id strings are the stable wire format used in certificate JSON; the
 short L* names are opaque labels for the reduction rules.  BASE_RULES and
 REDUCTION_RULES, at the end, are the rule registry: dict order is the
-engine's search order, every registered rule is called as fn(v), and
+engine's rule order, every registered rule is called as fn(v), and
 verify_certificate re-fires registered rules only.  The width-2 window check
 of classify_size is not a rule: the oracle refutes some of its verdicts, so
 no certificate can name it.  A reduction returns every step it finds,
-repeats included: the engine answers a repeated child from its memo or its
-visited set.
+repeats included: the engine walks only the first, and the isolation sweeps
+check them all.
 
 A rewrite may produce a vector all of whose entries drop during
 normalization ("vacuous": the configuration degenerates to a point, which is

@@ -22,9 +22,9 @@ def isolated_cache(tmp_path, monkeypatch):
 
 @pytest.fixture
 def engine_gives_up(monkeypatch):
-    """Engine.decide answers Unknown on ORACLE_BOUND, as if out of budget,
-    so decide settles it by the oracle; other vectors are decided as usual.
-    Returns the unpatched Engine.decide."""
+    """Engine.decide answers Unknown on ORACLE_BOUND, as if its walk reached
+    a dead end, so decide settles it by the oracle; other vectors are
+    decided as usual.  Returns the unpatched Engine.decide."""
     real = Engine.decide
 
     def decide(self, d):
@@ -393,6 +393,20 @@ class TestOtherCommands:
     def test_enumerate_json(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--max-n", "2", "--max-len", "2", "--json")
         assert json.loads(out) == [{"dims": [1], "n": 2}, {"dims": [1, 1], "n": 2}]
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("verify", "--max-n", "-3"), "--max-n"),
+        (("verify", "--max-n", "1"), "--max-n"),
+        (("enumerate", "--max-n", "-1", "--max-len", "3"), "--max-n"),
+        (("enumerate", "--max-n", "1", "--max-len", "3"), "--max-n"),
+        (("enumerate", "--max-n", "3", "--max-len", "0"), "--max-len"),
+        (("enumerate", "--max-n", "3", "--max-len", "3", "--max-size", "0"), "--max-size"),
+    ])
+    def test_bad_size_exit3(self, capsys, argv, flag):
+        # checked before any work: no vector is listed or checked
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage: ") and flag in err
 
     def test_family(self, capsys):
         code, out, _ = run(capsys, "family", "fibonacci", "--base", "1,1,1;2", "-k", "2")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdense.core import DimensionVector, Status, parse
-from grassdense import engine
 from grassdense.engine import Certificate, Engine, MalformedCertificateError, verify_certificate
 from grassdense.families import classify_size, enumerate_vectors
 from grassdense.oracle import VerdictClass, oracle_decide
@@ -83,15 +82,36 @@ class TestDecide:
         # such a step settle on a Dense child would call it Dense
         assert decide(parse("(3,8,12^2,18;22)")).status is not Status.DENSE
 
-    def test_budget_exhaustion(self, monkeypatch):
+    def test_dead_end_is_unknown(self, monkeypatch):
         eng = Engine()
-        monkeypatch.setattr(engine, "NODE_BUDGET", 1)
-        v = eng.decide(parse("1,1,1,1,5;6"))
-        assert v.status is Status.UNKNOWN and eng.last_budget_exhausted
-        # Unknown does not carry over: the next call on the engine searches again
+        monkeypatch.setattr(R, "REDUCTION_RULES", {})
+        assert eng.decide(parse("1,1,1,1,5;6")).status is Status.UNKNOWN
+        # Unknown is not memoized: the next call on the engine walks again
         monkeypatch.undo()
-        v = eng.decide(parse("1,1,1,1,5;6"))
-        assert v.status is Status.DENSE and not eng.last_budget_exhausted
+        assert eng.decide(parse("1,1,1,1,5;6")).status is Status.DENSE
+
+    def test_cycle_is_unknown(self, monkeypatch):
+        # a reduction that leads back to the form it started from
+        monkeypatch.setattr(R, "REDUCTION_RULES", {R.L3: lambda v: [R.rule_complement(v)]})
+        eng = Engine()
+        assert eng.decide(parse("1,1,1,1,5;6")).status is Status.UNKNOWN
+        assert eng.memo == {}
+
+    def test_domination_of_dense_seed_never_certifies_dense(self):
+        # a fake seed that is dense: whatever the walk answers, it never emits
+        # a Dense certificate through the SparseIf step
+        seed = parse("1,1,5;6")
+        eng = Engine()
+        eng._seed_cache[6] = (seed,)
+        assert R.rule_domination_sparse(parse("1,1,1,1,5;6"), {seed}) is not None
+        assert eng.decide(parse("1,1,1,1,5;6")).status is Status.UNKNOWN
+        for d in enumerate_vectors(6, 6):
+            if d.ambient == 6:
+                cert = eng.decide(d).certificate
+                if cert is not None:
+                    assert verify_certificate(cert), str(d)
+                    assert cert.status is Status.SPARSE or all(
+                        s.direction != R.SPARSE_IF for s in cert.steps), str(d)
 
     def test_batch_order_independence(self):
         batch = [parse(t) for t in FROZEN]
@@ -120,6 +140,29 @@ class TestDecide:
     @settings(max_examples=40, deadline=None)
     def test_complement_same_verdict(self, d):
         assert decide(d).status == decide(d.complement()).status
+
+
+def test_no_dead_ends():
+    # every reduction step of a settled vector leads to a vector settled the
+    # same way, so the walk's first step is as good as any later one
+    eng = Engine()
+    vecs = [v for v in enumerate_vectors(8, 9)
+            if v == v.canonical() and not v.is_trivially_sparse]
+    assert len(vecs) == 953
+    wrong, checked = [], 0
+    for d in vecs:
+        status = eng.decide(d).status
+        if status is Status.UNKNOWN:
+            continue
+        for side in (d, d.complement()):
+            for rule in R.REDUCTION_RULES.values():
+                for s in rule(side):
+                    checked += 1
+                    got = Status.DENSE if s.is_vacuous else eng.decide(s.outputs[0]).status
+                    if got is not status:
+                        wrong.append(f"{s.rule_id} {side} -> {s.outputs}: {got.value}")
+    assert checked == 3046
+    assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:3]}"
 
 
 def test_history_independent():
@@ -320,7 +363,7 @@ class TestKnownFamilies:
     @pytest.mark.parametrize("n", range(13, 31))
     def test_long_point_forms(self, n):
         # long vectors with few distinct entries: every certificate must
-        # re-fire, however the search reaches it
+        # re-fire, however the walk reaches it
         cases = [((1,) * n, True), ((1,) * (n + 1), True),
                  ((1,) * n + (n - 1,), True), ((1,) * (n + 2), False)]
         for dims, dense in cases:

@@ -237,8 +237,12 @@ class TestIffRulesSoundness:
 
 
 @functools.lru_cache(maxsize=None)
+def _sweep_report(d):
+    return oracle_decide(d, samples=2, seed=29)
+
+
 def _sweep_dense(d):
-    return oracle_decide(d, samples=2, seed=29).is_dense
+    return _sweep_report(d).is_dense
 
 
 @pytest.mark.parametrize("rule_id", list(R.BASE_RULES))
@@ -266,4 +270,24 @@ def test_reduction_rule_agrees_with_oracle_in_isolation():
                     ok = _sweep_dense(d) == _sweep_dense(s.outputs[0])
                 if not ok:
                     wrong.append(f"{s.rule_id} {d} -> {s.outputs}")
+    assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:3]}"
+
+
+def test_reduction_rule_preserves_moduli_in_isolation():
+    # the number of moduli, stab_dim - expected, on the isolation sweep's own
+    # steps: a wrong reduction from one sparse vector to another keeps the
+    # density bit but not, in general, the moduli
+    wrong, checked = [], 0
+    for d in enumerate_vectors(8, 9):
+        if d.is_trivially_sparse:
+            continue
+        for rule in R.REDUCTION_RULES.values():
+            for s in rule(d):
+                if s.is_vacuous or s.outputs[0].is_trivially_sparse:
+                    continue
+                checked += 1
+                a, b = _sweep_report(d), _sweep_report(s.outputs[0])
+                if a.stab_dim - a.expected != b.stab_dim - b.expected:
+                    wrong.append(f"{s.rule_id} {d} -> {s.outputs}")
+    assert checked == 2252
     assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:3]}"
