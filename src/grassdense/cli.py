@@ -13,9 +13,9 @@ canonical form, seed, samples and version, and served only to the vector the
 record answered (a vector and its complement share a key, not a
 certificate).  A lookup parses only the lines that can hold its record: a line
 in the writer's layout for another canonical form is skipped unread, so damage
-to it is not reported; any other line that is not a readable record is
-skipped with a warning on stderr.  A record appended after a cut-off last line
-starts a line of its own.
+to it is not reported; any other line that is not a readable Dense or Sparse
+record is skipped with a warning on stderr.  A record appended after a cut-off
+last line starts a line of its own.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from . import rules
 EXIT_DENSE = 0
 EXIT_SPARSE = 1
 EXIT_USAGE = 3
+_EXIT_CODES = {Status.DENSE.value: EXIT_DENSE, Status.SPARSE.value: EXIT_SPARSE}
 
 # human-readable labels for rule ids (printed by --trace and --help)
 RULE_LABELS = {
@@ -158,7 +159,7 @@ _RECORD_PREFIX = '{"key": {"canonical": '
 
 
 def _cache_lookup(path: Path, want: tuple) -> Optional[dict]:
-    """The last readable record whose (key, vector) is want.
+    """The last readable record, Dense or Sparse, whose (key, vector) is want.
 
     A line in the writer's layout for another canonical form cannot match
     want and is skipped unread, so damage to it is not reported here; every
@@ -178,8 +179,8 @@ def _cache_lookup(path: Path, want: tuple) -> Optional[dict]:
                     rec = json.loads(line)
                     if (rec.get("key"), rec.get("vector")) != want:
                         continue
-                    _render(rec, cached=True, trace=True)  # raises if unreadable
-                except Exception:  # not a JSON object, or not a record
+                    _EXIT_CODES[rec["status"]], _render(rec, cached=True, trace=True)
+                except Exception:  # not a JSON object, not a record, or not a verdict
                     sys.stderr.write(f"warning: skipping corrupt cache line {i} in {path}\n")
                     continue
                 hit = rec  # last write wins
@@ -217,8 +218,10 @@ def _ambient(text: str) -> int:
     return _at_least(2, text)
 
 
-def _seed(text: str) -> int:
-    return _at_least(0, text)
+def _seed(text: str) -> int:  # one seed keys one stream of words
+    if _at_least(0, text) >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be < 2^64, got {text}")
+    return int(text)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -247,7 +250,7 @@ def cmd_decide(args) -> int:
         print(json.dumps(record, sort_keys=True))
     else:
         sys.stdout.write(_render(record, cached is not None, args.trace))
-    return {Status.DENSE: EXIT_DENSE, Status.SPARSE: EXIT_SPARSE}[Status(record["status"])]
+    return _EXIT_CODES[record["status"]]
 
 
 def cmd_verify(args) -> int:

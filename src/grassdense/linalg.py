@@ -17,17 +17,25 @@ strong pseudoprimes to several bases, Math. Comp. 61, 1993); above it the
 twelve primes up to 37 are used, which suffice for all n < 2^64
 (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, Math.
 Comp. 86, 2017).
+
+Randomness.  The oracle draws everything from words(*key), a splitmix64
+stream (Steele, Lea and Flood, OOPSLA 2014) keyed by ints in [0, 2^64) and
+by their count.  It is pure Python and owned here: NumPy (NEP 19) does not
+freeze Generator streams across releases, and a witness must re-check under
+any numpy.  A word reduced mod m is uniform up to a bias below m / 2^64.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_SMALL_BASES = (2, 7, 61)
 _MR_SMALL_LIMIT = 4_759_123_141
+_MASK64, _GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
 
 
 @functools.lru_cache(maxsize=1024)
@@ -61,15 +69,28 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def is_elimination_prime(p) -> bool:
-    """p is a prime below 2^31, so residue products stay exact in int64."""
-    return isinstance(p, (int, np.integer)) and p < 2**31 and is_probable_prime(int(p))
-
-
-def random_prime(rng: np.random.Generator) -> int:
-    """Uniform-ish prime in (2^30, 2^31) by rejection sampling."""
+def words(*key: int) -> Iterator[int]:
+    """The endless splitmix64 stream keyed by key: from state len(key), each
+    entry k in turn sets the state to the next word xor k, and the words
+    after that are yielded.  Raises ValueError, at the first draw, unless
+    every entry is an int in [0, 2^64)."""
+    if not all(isinstance(k, int) and 0 <= k <= _MASK64 for k in key):
+        raise ValueError(f"key entries must be ints in [0, 2^64), got {key!r}")
+    state, entries = len(key), list(key)
     while True:
-        c = int(rng.integers(2**30 + 1, 2**31)) | 1
+        state = state + _GAMMA & _MASK64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+        if entries:
+            state = z ^ z >> 31 ^ entries.pop(0)
+        else:
+            yield z ^ z >> 31
+
+
+def random_prime(stream: Iterator[int]) -> int:
+    """The first prime (w >> 33) | 2^30 | 1, in (2^30, 2^31), over the words w of stream."""
+    for w in stream:
+        c = w >> 33 | 2**30 | 1
         if is_probable_prime(c):
             return c
 
@@ -120,7 +141,7 @@ def mod_rank(a: np.ndarray, p: int) -> int:
     Raises ValueError unless p is a prime below 2^31 and a is 2-D with a
     signed integer dtype.
     """
-    if not is_elimination_prime(p):
+    if not (isinstance(p, (int, np.integer)) and p < 2**31 and is_probable_prime(int(p))):
         raise ValueError(f"modulus must be a prime below 2^31 (int64 elimination), got {p!r}")
     a = _integer_matrix(a).astype(np.int64, copy=False)
     if a.size == 0:

@@ -58,25 +58,23 @@ Schwartz-Zippel count is unchanged by the slice: every entry of the sliced
 system still has degree <= 2 in the A_i, so a nonzero r x r minor is a
 polynomial of degree <= 2r, now with r the smaller rank of the sliced
 system.
+
+Randomness.  Every draw comes from linalg.words: primes from words(seed),
+sample s's chart of entry i from words(seed, s, i).  So a dense witness is
+three ints, (seed, samples - 1, prime).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import DimensionVector
-from .linalg import bareiss_rank, is_elimination_prime, mod_rank, random_prime
-
-# Over Q (prime None) the chart entries A_i are drawn from [-bound, bound].
-# System entries have degree <= 2 in the A_i, so a nonzero r x r minor is a
-# polynomial of degree <= 2r and vanishes with probability at most
-# 2r / (2 bound + 1) (Schwartz-Zippel): negligible on the small n exact
-# sampling is meant for.
-_RATIONAL_ENTRY_BOUND = 5000
+from .linalg import bareiss_rank, mod_rank, random_prime, words
 
 
 class VerdictClass(Enum):
@@ -129,11 +127,11 @@ class GenericConfiguration:
 class OracleReport:
     """The oracle's answer: the (prime, PGL-stabilizer dimension) of each
     sample run, in order, from seed.  Everything else is read off them: a
-    dense witness is the last sample, its field and spawned child (seed, index)."""
+    dense report's witness is (seed, samples - 1, prime)."""
 
     vector: DimensionVector
     seed: int
-    stab_dims: tuple[tuple[Optional[int], int], ...]
+    stab_dims: tuple[tuple[int, int], ...]
 
     @property
     def expected(self) -> int:
@@ -144,7 +142,7 @@ class OracleReport:
         return len(self.stab_dims)
 
     @property
-    def primes(self) -> tuple[Optional[int], ...]:  # the fields used, in first-use order
+    def primes(self) -> tuple[int, ...]:  # the primes used, in first-use order
         return tuple(dict.fromkeys(p for p, _ in self.stab_dims))
 
     @property
@@ -196,27 +194,23 @@ def _slice(d: DimensionVector) -> dict[int, int]:
     return start
 
 
-def sample_configuration(
-    d: DimensionVector,
-    prime: Optional[int] = None,
-    seed: int | np.random.SeedSequence = 0,
-) -> GenericConfiguration:
+def sample_configuration(d: DimensionVector, prime: Optional[int] = None, seed: int = 0,
+                         sample: int = 0) -> GenericConfiguration:
     """Fix the slice's pair at [I; 0] and [0; I] and, when they are a
     direct sum, every further entry that fits at the next coordinate block
-    below the first; draw a random chart point [I; A_i] for every other
-    subspace, deterministically in (d, prime, seed).  prime=None selects
-    rational (integer-entry) mode.  Without a chart point nothing is drawn
-    and seed is unused."""
-    n = d.ambient
-    start = _slice(d)
-    if len(start) < d.length:
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence([int(seed), prime or 0])
-        rng = np.random.default_rng(seed)
-    lo, hi = (-_RATIONAL_ENTRY_BOUND, _RATIONAL_ENTRY_BOUND + 1) if prime is None else (0, prime)
-    parts = tuple(start[i] if i in start
-                  else rng.integers(lo, hi, size=(n - di, di), dtype=np.int64)
-                  for i, di in enumerate(d.dims))
+    below the first; fill every other entry i's chart A_i of [I; A_i]
+    row-major from the words w of words(seed, sample, i): w % prime over
+    F_prime, w % 10001 - 5000 over Q (prime None; a nonzero r x r minor, of
+    degree <= 2r, vanishes with probability <= 2r / 10001), each biased by
+    less than modulus / 2^64.  Without a chart point nothing is drawn."""
+    n, start = d.ambient, _slice(d)
+    m, shift = (10001, 5000) if prime is None else (int(prime), 0)  # a numpy int would overflow
+
+    def chart(i: int, d_i: int) -> np.ndarray:
+        entries = itertools.islice(words(seed, sample, i), (n - d_i) * d_i)
+        return np.array([w % m - shift for w in entries], dtype=np.int64).reshape(n - d_i, d_i)
+
+    parts = tuple(start[i] if i in start else chart(i, di) for i, di in enumerate(d.dims))
     return GenericConfiguration(d, parts, prime)
 
 
@@ -253,55 +247,37 @@ def stabilizer_nullity(c: GenericConfiguration) -> int:
     return nullity
 
 
-def oracle_decide(
-    d: DimensionVector,
-    samples: int = 3,
-    primes: Optional[Sequence[Optional[int]]] = None,
-    seed: int = 0,
-) -> OracleReport:
+def oracle_decide(d: DimensionVector, samples: int = 3, seed: int = 0) -> OracleReport:
     """Sample stabilizer dimensions until one certifies density.
 
-    primes is the cycle of fields the samples use in turn: a prime p below
-    2^31 (so residue products stay exact in int64) samples over F_p, None
-    samples over Q.  The default is two distinct random primes from seed,
-    each drawn when a sample first uses it.  samples >= 1 and seed >= 0 are
-    ints, not bools.  Sampling stops at the first sample whose
-    PGL-stabilizer dimension equals expected_stab_dim(d) >= 0.  Trivially
-    sparse vectors short-circuit with zero samples (that verdict is
-    deterministic), after the arguments are checked.  The report keeps the
-    (prime, dimension) of every sample run and reads its verdict, its
-    primes and its anomalies off them.
-    """
+    Sample s is sample_configuration(d, p, seed, s) over F_p, p the
+    (s % 2)-th of the first two distinct primes of words(seed), each drawn
+    when a sample first uses it.  samples >= 1 is an int and seed an int in
+    [0, 2^64), neither a bool: one seed keys one stream.  Sampling stops at
+    the first sample whose PGL-stabilizer dimension equals
+    expected_stab_dim(d) >= 0.  Trivially sparse vectors short-circuit with
+    zero samples (that verdict is deterministic), after the arguments are
+    checked.  The report keeps the (prime, dimension) of every sample run
+    and reads its verdict, its primes and its anomalies off them."""
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an int >= 1, got {samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
-    if primes is not None:
-        primes = list(primes)
-        if not primes or any(p is not None and not is_elimination_prime(p) for p in primes):
-            raise ValueError(f"primes must be a nonempty list of None or int primes below 2^31 "
-                             f"(int64 elimination), got {primes}")
-        primes = [None if p is None else int(p) for p in primes]
-    expected = d.expected_stab_dim
-    observed: list[tuple[Optional[int], int]] = []  # (prime, stab) per sample run
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an int in [0, 2^64), got {seed!r}")
+    seed, expected = int(seed), d.expected_stab_dim
+    observed: list[tuple[int, int]] = []  # (prime, stab) per sample run
     if expected >= 0:
-        prime_cycle: list[Optional[int]] = primes or []
-        if primes is None:  # two distinct primes, each drawn when a sample first uses it
-            prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
-        charted = len(_slice(d)) < d.length  # else no sample draws, nor needs a seed
+        stream, primes = words(seed), []
         for s in range(samples):
-            if primes is None and s < 2:
-                prime_cycle.append(random_prime(prng))
-                while prime_cycle[s] in prime_cycle[:s]:
-                    prime_cycle[s] = random_prime(prng)
-            p = prime_cycle[s % len(prime_cycle)]
-            # child s of SeedSequence([seed]).spawn(samples)
-            child = np.random.SeedSequence([seed], spawn_key=(s,)) if charted else seed
-            stab = stabilizer_nullity(sample_configuration(d, prime=p, seed=child)) - 1
+            while len(primes) <= min(s, 1):
+                if (p := random_prime(stream)) not in primes:
+                    primes.append(p)
+            p = primes[s % 2]
+            stab = stabilizer_nullity(sample_configuration(d, p, seed, s)) - 1
             if stab < expected:
                 raise RuntimeError(f"{d}: stabilizer dim {stab} below the dimension bound "
                                    f"{expected}: elimination bug")
             observed.append((p, stab))
             if stab == expected:
                 break
-    return OracleReport(d, int(seed), tuple(observed))
+    return OracleReport(d, seed, tuple(observed))

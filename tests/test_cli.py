@@ -127,11 +127,11 @@ class TestDecide:
 
     @pytest.mark.parametrize("vector, exit_code, block", [
         ("1,10^4;16", EXIT_DENSE,
-         {"anomalies": [], "class": "CertifiedDense", "expected": 0, "prime": 1100870443,
-          "primes": [1100870443], "samples": 1, "seed": 0, "stab_dim": 0}),
+         {"anomalies": [], "class": "CertifiedDense", "expected": 0, "prime": 1992482309,
+          "primes": [1992482309], "samples": 1, "seed": 0, "stab_dim": 0}),
         ("7^2,9,14,20;22", EXIT_SPARSE,
-         {"anomalies": [], "class": "MonteCarloSparse", "expected": 4, "prime": 1100870443,
-          "primes": [1100870443, 1834526951], "samples": 3, "seed": 0, "stab_dim": 6}),
+         {"anomalies": [], "class": "MonteCarloSparse", "expected": 4, "prime": 1992482309,
+          "primes": [1992482309, 1582255861], "samples": 3, "seed": 0, "stab_dim": 6}),
     ])
     def test_real_oracle_fallback_pinned(self, capsys, vector, exit_code, block):
         # the unpatched engine leaves these Unknown, so decide asks the oracle
@@ -154,11 +154,17 @@ class TestDecide:
                                       ("decide", ORACLE_BOUND),
                                       ("verify", "--max-n", "3")])
     def test_samples_below_one_exit3(self, capsys, isolated_cache, engine_gives_up, argv):
-        # a negative --seed too: both are checked before any work, whatever the vector
-        for flag, bad in (("--samples", "0"), ("--samples", "-1"), ("--seed", "-1")):
+        # a --seed outside [0, 2^64) too: both are checked before any work,
+        # whatever the vector
+        for flag, bad in (("--samples", "0"), ("--samples", "-1"), ("--seed", "-1"),
+                          ("--seed", str(2**64))):
             code, out, err = run(capsys, *argv, flag, bad)
             assert code == EXIT_USAGE and out == "" and flag in err
         assert not isolated_cache.exists()
+
+    def test_largest_seed_accepted(self, capsys, engine_gives_up):
+        code, out, _ = run(capsys, "decide", ORACLE_BOUND, "--json", "--seed", str(2**64 - 1))
+        assert code == EXIT_DENSE and json.loads(out)["oracle"]["seed"] == 2**64 - 1
 
     def test_internal_error_exit3(self, capsys, monkeypatch):
         def boom(self, d):
@@ -295,6 +301,11 @@ class TestCache:
 
     def test_record_without_status_skipped(self, capsys, isolated_cache):
         self._plant(capsys, isolated_cache, lambda rec: rec.pop("status"))
+        self._recompute_despite(capsys)
+
+    def test_record_without_verdict_skipped(self, capsys, isolated_cache):
+        # an Unknown record answers nothing: served, it ended in a KeyError
+        self._plant(capsys, isolated_cache, lambda rec: rec.update(status="Unknown"))
         self._recompute_despite(capsys)
 
     def test_step_without_params_skipped(self, capsys, isolated_cache):

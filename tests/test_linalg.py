@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grassdense.linalg import _eliminate, bareiss_rank, is_probable_prime, mod_rank, random_prime
+from grassdense.linalg import (
+    _eliminate, bareiss_rank, is_probable_prime, mod_rank, random_prime, words,
+)
 
 P = 2_147_483_629  # largest prime below 2^31
 
@@ -20,9 +23,9 @@ class TestPrimes:
             assert not is_probable_prime(c)
 
     def test_random_prime_in_range(self):
-        rng = np.random.default_rng(0)
+        stream = words(0)
         for _ in range(5):
-            p = random_prime(rng)
+            p = random_prime(stream)
             assert 2**30 < p < 2**31
             assert is_probable_prime(p)
 
@@ -55,17 +58,51 @@ class TestPrimes:
             assert is_probable_prime(n) == _reference_is_prime(n), n
 
     def test_random_prime_matches_reference_sampler(self):
-        # the draws oracle_decide makes for its default primes, seeds 0..199
-        def reference(rng):
-            while True:
-                c = int(rng.integers(2**30 + 1, 2**31)) | 1
-                if _reference_is_prime(c):
+        # the first three primes (w >> 33) | 2^30 | 1 of words(s), s = 0..199,
+        # with primality by trial division up to sqrt(2^31)
+        limit = 46_341
+        sieve = np.ones(limit + 1, dtype=bool)
+        sieve[:2] = False
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        small = np.flatnonzero(sieve).tolist()
+
+        def reference(stream):
+            for w in stream:
+                c = (w >> 33) | 2**30 | 1
+                if all(c % q for q in small):
                     return c
 
         for s in range(200):
-            seed = np.random.SeedSequence([s, 0xA11CE])
-            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            ours, ref = words(s), words(s)
             assert [random_prime(ours) for _ in range(3)] == [reference(ref) for _ in range(3)]
+
+
+class TestWords:
+    def test_keyless_stream_is_splitmix64_from_zero(self):
+        # the published first outputs of splitmix64 seeded with 0
+        assert list(itertools.islice(words(), 3)) == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_first_words_pinned(self):
+        # a change here changes every oracle record's primes and charts
+        assert list(itertools.islice(words(0), 3)) == [
+            6791897765849424158, 17405687883870564846, 834844254806117752]
+        assert list(itertools.islice(words(1, 2, 3), 3)) == [
+            5631902732087738355, 8137353392440784526, 18005441768042641825]
+
+    def test_keys_of_different_lengths_differ(self):
+        keys = [(), (0,), (0, 0), (0, 0, 0), (1,), (0, 1), (1, 0), (2**64 - 1,)]
+        firsts = [tuple(itertools.islice(words(*k), 4)) for k in keys]
+        assert len(set(firsts)) == len(keys)
+        assert all(0 <= w < 2**64 for f in firsts for w in f)
+
+    def test_rejects_bad_keys(self):
+        # a numpy int is refused too: its arithmetic would wrap, not mask
+        for key in [(-1,), (2**64,), (1.0,), ("1",), (0, None), (np.int64(1),)]:
+            with pytest.raises(ValueError, match="key entries"):
+                next(words(*key))
 
 
 _TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 import sys
@@ -10,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from grassdense import cli, oracle
 from grassdense.core import DimensionVector, parse
-from grassdense.linalg import _eliminate, is_probable_prime, mod_rank, random_prime
+from grassdense.families import enumerate_vectors
+from grassdense.linalg import _eliminate, is_probable_prime, mod_rank, random_prime, words
 from grassdense.oracle import (
     GenericConfiguration, OracleReport, VerdictClass, _stabilizer_system, oracle_decide,
     sample_configuration, stabilizer_nullity,
@@ -39,9 +41,8 @@ def _full_system(c):
 def _two_block_configuration(d, prime, seed):
     """The slice that fixes only the pair: [I; 0] and [0; I] for the two
     entries with the largest d_i (n - d_i), and a chart point, drawn as
-    sample_configuration draws it, for every other entry."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, prime or 0]))
-    lo, hi = (0, prime) if prime else (-5000, 5001)
+    sample_configuration draws sample 0, for every other entry."""
+    m, shift = (prime, 0) if prime else (10001, 5000)
     n = d.ambient
     top, bottom = sorted(range(d.length), reverse=True,
                          key=lambda i: (d.dims[i] * (n - d.dims[i]), d.dims[i], -i))[:2]
@@ -50,7 +51,9 @@ def _two_block_configuration(d, prime, seed):
         if i in (top, bottom):
             parts.append(0 if i == top else n - di)
         else:
-            parts.append(rng.integers(lo, hi, size=(n - di, di), dtype=np.int64))
+            stream = words(seed, 0, i)
+            a = [[next(stream) % m - shift for _ in range(di)] for _ in range(n - di)]
+            parts.append(np.array(a, dtype=np.int64))
     return GenericConfiguration(d, tuple(parts), prime)
 
 
@@ -114,6 +117,29 @@ class TestSampling:
         a = sample_configuration(parse("2,3,3;6"), prime=P, seed=1)
         b = sample_configuration(parse("2,3,3;6"), prime=P, seed=2)
         assert any((x != y).any() for x, y in zip(a.subspaces, b.subspaces))
+
+    def test_numpy_prime_draws_as_int(self):
+        a = sample_configuration(parse("1,3,3,3;5"), prime=np.int64(P), seed=1)
+        b = sample_configuration(parse("1,3,3,3;5"), prime=P, seed=1)
+        assert all((x == y).all() for x, y in zip(a.subspaces, b.subspaces))
+
+    def test_sample_index_changes_sample(self):
+        a = sample_configuration(parse("2,3,3;6"), prime=P, seed=1, sample=0)
+        b = sample_configuration(parse("2,3,3;6"), prime=P, seed=1, sample=1)
+        assert any((x != y).any() for x, y in zip(a.subspaces, b.subspaces))
+
+    def test_charts_pinned(self):
+        # the two 3s at 0 and 2 overlap; entries 0 and 3 are charts, filled
+        # row-major from words(1, 0, i) mod P, or mod 10001 less 5000 over Q
+        c = sample_configuration(parse("1,3,3,3;5"), prime=P, seed=1)
+        q = sample_configuration(parse("1,3,3,3;5"), prime=None, seed=1)
+        assert c.parts[1:3] == q.parts[1:3] == (0, 2)
+        assert c.parts[0].tolist() == [[173490644], [1660332381], [1207670854], [45806769]]
+        assert c.parts[3].tolist() == [[1758295781, 983316268, 2130170069],
+                                       [1800385366, 582239937, 1194484628]]
+        assert q.parts[0].tolist() == [[-986], [2903], [-4746], [-222]]
+        assert q.parts[3].tolist() == [[3933, 1430, -4231], [59, -3633, -2206]]
+        assert c.parts[3].ravel().tolist() == [w % P for w in itertools.islice(words(1, 0, 3), 6)]
 
     def test_rational_mode_entries_bounded(self):
         c = sample_configuration(parse("2,2;5"), prime=None, seed=3)
@@ -248,24 +274,15 @@ class TestOracleDecide:
     def test_rational_agrees_with_modular(self):
         for s in ("2,2,2;4", "1,1,2,2;3", "1,2,2;5"):
             m = oracle_decide(parse(s), samples=2, seed=9)
-            q = oracle_decide(parse(s), samples=2, seed=9, primes=[None])
-            assert m.is_dense == q.is_dense
-            assert m.stab_dim == q.stab_dim
-
-    def test_explicit_primes_respected(self):
-        r = oracle_decide(parse("2,2,2;4"), samples=2, seed=0, primes=[P])
-        assert r.primes == (P,) and r.prime == P
-
-    def test_primes_are_the_fields_used(self):
-        # dense at its first sample, so the cycle's second field is never used
-        q = 2_147_483_587
-        r = oracle_decide(parse("2,2,2;4"), samples=3, primes=[P, q])
-        assert r.is_dense and r.stab_dims == ((P, 3),) and r.primes == (P,)
+            q = _rational_stab_dims(parse(s), 2, 9)
+            assert m.is_dense == (m.expected in q)
+            assert m.stab_dim == min(q)
 
     def test_report_holds_only_its_evidence(self):
         assert [f.name for f in dataclasses.fields(OracleReport)] == ["vector", "seed", "stab_dims"]
-        r = OracleReport(parse("1,3,3,3;5"), 0, ((P, 4), (None, 3), (P, 3)))
-        assert (r.samples, r.expected, r.primes, r.prime, r.stab_dim) == (3, 2, (P, None), None, 3)
+        q = 2_147_483_587
+        r = OracleReport(parse("1,3,3,3;5"), 0, ((P, 4), (q, 3), (P, 3)))
+        assert (r.samples, r.expected, r.primes, r.prime, r.stab_dim) == (3, 2, (P, q), q, 3)
         assert not r.is_dense and r.verdict_class is VerdictClass.MONTE_CARLO_SPARSE
 
     def test_numpy_seed_stored_as_int(self):
@@ -273,37 +290,20 @@ class TestOracleDecide:
         assert type(r.seed) is int and r == oracle_decide(parse("1,3,3,3;5"), samples=2, seed=1)
         assert json.loads(json.dumps(cli._oracle_json(r)))["seed"] == 1
 
-    def test_mixed_cycle(self):
-        r = oracle_decide(parse("1,3,3,3;5"), samples=4, seed=1, primes=[P, None])
-        assert r.primes == (P, None) and not r.is_dense
-        assert [p for p, _ in r.stab_dims] == [P, None, P, None]
-        t = oracle_decide(parse("1,1,1,1,2;4"), primes=[None])
-        assert t.primes == () and t.samples == 0
-
     def test_bad_args(self):
         # samples must be an int >= 1, whether or not the vector is sampled
         for text in ("1,1,1,1,2;4", "1,2^2;5", "1,2;4"):
             for samples in (0, -1, 2.5, "3", None, True):
                 with pytest.raises(ValueError, match="samples"):
                     oracle_decide(parse(text), samples=samples)
-        # 2^61 - 1 is prime but overflows int64 elimination; 1 and 9 are not prime
-        for primes in ([2**61 - 1], [1], [9], [P, 2**61 - 1], [None, 9], []):
-            with pytest.raises(ValueError, match="primes"):
-                oracle_decide(parse("1,1,2,2;3"), primes=primes)
-        # entries must be ints, not floats, strings or bools: none is coerced,
-        # and the message quotes the caller's list
-        for primes in ([2147483629.7], ["2147483629"], [True], [P, 7.0]):
-            with pytest.raises(ValueError, match=re.escape(repr(primes))):
-                oracle_decide(parse("1,1,2,2;3"), primes=primes)
-        # checked before the trivially-sparse short-circuit
-        for primes in ([9], []):
-            with pytest.raises(ValueError, match="primes"):
-                oracle_decide(parse("1,1,1,1,2;4"), primes=primes)
-        # a seed must be a non-negative int, whether or not the vector is sampled
+        # a seed must be an int in [0, 2^64), whether or not the vector is
+        # sampled: one seed keys one stream
         for text in ("1,1,1,1,2;4", "1,2,2;5"):
-            for seed in (-1, 1.5, False, True):
-                with pytest.raises(ValueError, match="seed"):
+            for seed in (-1, 1.5, False, True, 2**64, np.int64(-1)):
+                with pytest.raises(ValueError, match=re.escape(f"seed must be an int in [0, 2^64), "
+                                                               f"got {seed!r}")):
                     oracle_decide(parse(text), seed=seed)
+        assert oracle_decide(parse("1,2,2;5"), samples=1, seed=2**64 - 1).is_dense
 
     @given(small_vectors())
     @settings(max_examples=40, deadline=None)
@@ -316,14 +316,13 @@ class TestOracleDecide:
     @settings(max_examples=15, deadline=None)
     def test_modular_matches_rational(self, d):
         m = oracle_decide(d, samples=1, seed=4)
-        q = oracle_decide(d, samples=1, seed=4, primes=[None])
-        assert m.stab_dim == q.stab_dim
+        assert m.stab_dim == (min(_rational_stab_dims(d, 1, 4)) if m.samples else None)
 
-    # recorded with the twelve-witness primality test, before the oracle took
-    # three witnesses below 4,759,123,141: the default primes at seeds 1..3
-    # and the one-sample stabilizer dims of the oracle-n30 benchmark vectors
-    N30_PRIMES = {1: (1734631883, 1078790287), 2: (2091625421, 1125676723),
-                  3: (2046887833, 1443561671)}
+    # the default primes at seeds 1..3, the first two distinct primes of
+    # words(seed), and the one-sample stabilizer dims of the oracle-n30
+    # benchmark vectors (unchanged since the stream was numpy's)
+    N30_PRIMES = {1: (1290204791, 1922684923), 2: (1372562747, 1856298317),
+                  3: (1862871383, 1621697251)}
     N30_STAB_DIMS = {"10^3;30": 299, "5^5;30": 274, "1^10;30": 609, "15,14;30": 450,
                      "9^3;27": 242, "7^4;28": 195, "12^2,13^2;25": 12}
 
@@ -343,22 +342,35 @@ class TestOracleDecide:
 
 def _eager_primes(seed):
     """The default prime pair, both drawn up front from oracle_decide's stream."""
-    prng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
-    first, second = random_prime(prng), random_prime(prng)
+    stream = words(seed)
+    first, second = random_prime(stream), random_prime(stream)
     while second == first:
-        second = random_prime(prng)
+        second = random_prime(stream)
     return first, second
 
 
+def _rational_stab_dims(d, samples, seed):
+    """The stabilizer dims over Q of samples 0 .. samples - 1 from seed."""
+    return [stabilizer_nullity(sample_configuration(d, None, seed, s)) - 1 for s in range(samples)]
+
+
+def _record_keys(monkeypatch):
+    """The keys of every words() call the oracle makes, in order."""
+    keys = []
+    monkeypatch.setattr(oracle, "words", lambda *key: keys.append(key) or words(*key))
+    return keys
+
+
 class TestSampleCost:
+    def test_default_primes_pinned(self):
+        # a change here changes every oracle record
+        assert [_eager_primes(s) for s in range(3)] == [
+            (1992482309, 1582255861), (1290204791, 1922684923), (1372562747, 1856298317)]
+
     def test_one_sample_draws_one_prime_and_no_configuration_generator(self, monkeypatch):
         # (5^5;30) is a direct sum: every entry is fixed, nothing is drawn
         d, first = parse("5^5;30"), _eager_primes(3)[0]
-        rngs, seeds, body_runs = [], [], []
-        default_rng, sample = np.random.default_rng, oracle.sample_configuration
-        monkeypatch.setattr(np.random, "default_rng", lambda s: rngs.append(s) or default_rng(s))
-        monkeypatch.setattr(oracle, "sample_configuration",
-                            lambda d, prime, seed: seeds.append(seed) or sample(d, prime, seed))
+        keys, body_runs = _record_keys(monkeypatch), []
         body = is_probable_prime.__wrapped__.__code__
 
         def profile(frame, event, arg):
@@ -373,9 +385,8 @@ class TestSampleCost:
             sys.setprofile(None)
         (p,) = r.primes
         assert r.stab_dims == ((p, d.expected_stab_dim),) and p == first
-        # the only Generator is the prime stream's; the sample gets no SeedSequence
-        assert len(rngs) == 1 and rngs[0].entropy == [3, 0xA11CE]
-        assert len(seeds) == 1 and not isinstance(seeds[0], np.random.SeedSequence)
+        # the only stream is the primes'; the sample draws no chart
+        assert keys == [(3,)]
         # random_prime tested p, and mod_rank's guard found the answer cached
         assert body_runs.count(p) == 1 and is_probable_prime.cache_info().hits >= 1
 
@@ -387,19 +398,32 @@ class TestSampleCost:
             assert oracle_decide(sparse, samples=1, seed=seed).primes == pair[:1]
             assert oracle_decide(sparse, samples=3, seed=seed).primes == pair
 
-    @pytest.mark.parametrize("text", ["1,3,3,3;5", "12^2,13^2;25", "5,5,5,5,13;14"])
-    def test_charted_samples_get_spawned_children(self, monkeypatch, text):
-        seeds = []
-        sample = oracle.sample_configuration
-        monkeypatch.setattr(oracle, "sample_configuration",
-                            lambda d, prime, seed: seeds.append(seed) or sample(d, prime, seed))
+    CHARTS = {"1,3,3,3;5": [0, 3], "12^2,13^2;25": [0, 1], "5,5,5,5,13;14": [2, 3, 4]}
+
+    @pytest.mark.parametrize("text", list(CHARTS))
+    def test_sample_s_draws_entry_i_from_seed_s_i(self, monkeypatch, text):
+        charts = self.CHARTS[text]
+        keys = _record_keys(monkeypatch)
         for seed in (0, 7):
-            seeds.clear()
+            keys.clear()
             r = oracle_decide(parse(text), samples=3, seed=seed)
-            children = np.random.SeedSequence([seed]).spawn(3)[:r.samples]
-            assert len(seeds) == r.samples
-            for got, want in zip(seeds, children):
-                assert np.array_equal(got.generate_state(8), want.generate_state(8))
+            assert keys == [(seed,)] + [(seed, s, i) for s in range(r.samples) for i in charts]
+
+
+class TestWitness:
+    def test_dense_witnesses_recheck(self):
+        # every dense, charted vector of enumerate_vectors(6, 6) re-checks
+        # from its three ints alone
+        checked = 0
+        for d in enumerate_vectors(6, 6):
+            r = oracle_decide(d, samples=3, seed=5)
+            if not r.is_dense or len(oracle._slice(d)) == d.length:
+                continue
+            seed, sample, prime = r.seed, r.samples - 1, r.prime
+            c = sample_configuration(d, prime, seed, sample)
+            assert stabilizer_nullity(c) - 1 == r.expected
+            checked += 1
+        assert checked > 100
 
 
 def _script_stabs(monkeypatch, stabs):
