@@ -9,7 +9,8 @@ mod_rank takes columns sparsest first: the oracle's stabilizer systems have
 (13.0 M element updates instead of 1.1 M on a (5^5;30) sample).  Rank is
 invariant under column permutation, so the order changes the cost only.
 Fraction-free Bareiss elimination is the slow exact rank over Q for small
-instances.
+instances.  The functions that build arrays import numpy at first use, so
+a process whose verdicts the engine settles never pays for loading it.
 
 Primality is deterministic Miller-Rabin.  Below 4,759,123,141, which covers
 every elimination prime, the witnesses 2, 7 and 61 suffice (Jaeschke, On
@@ -28,9 +29,10 @@ any numpy.  A word reduced mod m is uniform up to a bias below m / 2^64.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_SMALL_BASES = (2, 7, 61)
@@ -108,7 +110,7 @@ def _eliminate(m: np.ndarray, p: int) -> int:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(m[r:, c])
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -117,13 +119,14 @@ def _eliminate(m: np.ndarray, p: int) -> int:
         targets = nz[1:] + r
         if targets.size:
             f = m[targets, c] * pow(int(m[r, c]), -1, p) % p
-            m[targets, c:] = (m[targets, c:] - np.outer(f, m[r, c:])) % p
+            m[targets, c:] = (m[targets, c:] - f[:, None] * m[r, c:]) % p
         r += 1
     return r
 
 
 def _integer_matrix(a) -> np.ndarray:
     """a as a 2-D array; ValueError unless it is one with a signed integer dtype."""
+    import numpy as np
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
@@ -141,6 +144,7 @@ def mod_rank(a: np.ndarray, p: int) -> int:
     Raises ValueError unless p is a prime below 2^31 and a is 2-D with a
     signed integer dtype.
     """
+    import numpy as np
     if not (isinstance(p, (int, np.integer)) and p < 2**31 and is_probable_prime(int(p))):
         raise ValueError(f"modulus must be a prime below 2^31 (int64 elimination), got {p!r}")
     a = _integer_matrix(a).astype(np.int64, copy=False)

@@ -61,7 +61,8 @@ system.
 
 Randomness.  Every draw comes from linalg.words: primes from words(seed),
 sample s's chart of entry i from words(seed, s, i).  So a dense witness is
-three ints, (seed, samples - 1, prime).
+three ints, (seed, samples - 1, prime).  The functions that build arrays
+import numpy at first use, since the package imports this module eagerly.
 """
 
 from __future__ import annotations
@@ -69,12 +70,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .core import DimensionVector
 from .linalg import bareiss_rank, mod_rank, random_prime, words
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class VerdictClass(Enum):
@@ -97,6 +99,7 @@ class GenericConfiguration:
     prime: Optional[int]
 
     def __post_init__(self) -> None:
+        import numpy as np
         n, dims = self.vector.ambient, self.vector.dims
         if len(self.parts) != len(dims):
             raise ValueError(f"{len(self.parts)} parts for the {len(dims)} entries of {self.vector}")
@@ -117,6 +120,7 @@ class GenericConfiguration:
     @property
     def subspaces(self) -> tuple[np.ndarray, ...]:
         """The n x d_i matrices: np.eye(n, d_i, k=-s) for a block, [I; A] for a chart."""
+        import numpy as np
         n = self.ambient
         return tuple(np.eye(n, d, k=-part, dtype=np.int64) if isinstance(part, int)
                      else np.vstack([np.eye(d, dtype=np.int64), part])
@@ -203,6 +207,7 @@ def sample_configuration(d: DimensionVector, prime: Optional[int] = None, seed: 
     F_prime, w % 10001 - 5000 over Q (prime None; a nonzero r x r minor, of
     degree <= 2r, vanishes with probability <= 2r / 10001), each biased by
     less than modulus / 2^64.  Without a chart point nothing is drawn."""
+    import numpy as np
     n, start = d.ambient, _slice(d)
     m, shift = (10001, 5000) if prime is None else (int(prime), 0)  # a numpy int would overflow
 
@@ -222,6 +227,7 @@ def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
     rows.  A chart [I; A] contributes kron(Q, U^T), Q = [-A | I]: the
     conditions Q g U = 0 on the row-major entries of g.  The result has one
     column per kept unknown."""
+    import numpy as np
     n = c.ambient
     forced = np.zeros((n, n), dtype=bool)
     for d, s in zip(c.vector.dims, c.parts):
@@ -259,6 +265,7 @@ def oracle_decide(d: DimensionVector, samples: int = 3, seed: int = 0) -> Oracle
     zero samples (that verdict is deterministic), after the arguments are
     checked.  The report keeps the (prime, dimension) of every sample run
     and reads its verdict, its primes and its anomalies off them."""
+    import numpy as np
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an int >= 1, got {samples!r}")
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -462,3 +465,38 @@ def test_console_script_installed():
                        env={"PATH": "/usr/bin:/usr/local/bin",
                             "GRASSDENSE_CACHE": "/tmp/_gd_cli_test_cache.jsonl"})
     assert p.returncode == EXIT_SPARSE
+
+
+# runs in a fresh interpreter: imports the package, then each argv of
+# sys.argv[1] through cli.main, noting after each whether numpy is loaded
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import grassdense
+from grassdense import cli
+steps = [[None, "numpy" in sys.modules, ""]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    steps.append([code, "numpy" in sys.modules, out.getvalue()])
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loads_only_when_the_oracle_runs(tmp_path):
+    import grassdense
+    src = os.path.dirname(os.path.dirname(grassdense.__file__))
+    env = dict(os.environ, GRASSDENSE_CACHE=str(tmp_path / "verdicts.jsonl"),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    engine_settled = [["decide", "1,2,2;5", "--no-cache"], ["classify", "--size", "3"],
+                      ["enumerate", "--max-n", "5", "--max-len", "3"],
+                      ["family", "fibonacci", "--base", "1,1,1;2", "-k", "3"]]
+    oracle_bound = ["decide", "(7^2,9,14,20;22)", "--no-cache", "--json"]
+    p = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
+                        json.dumps(engine_settled + [oracle_bound])],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert p.returncode == 0, p.stderr
+    steps = json.loads(p.stdout)
+    assert [loaded for _, loaded, _ in steps] == [False] * 5 + [True]
+    assert [code for code, _, _ in steps[1:]] == [EXIT_DENSE, 0, 0, 0, EXIT_SPARSE]
+    assert json.loads(steps[-1][2])["method"] == "oracle"
