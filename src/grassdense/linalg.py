@@ -8,6 +8,14 @@ mod_rank takes columns sparsest first: the oracle's stabilizer systems have
 7-26 % nonzero entries, and the row-major order of g fills them in heavily
 (13.0 M element updates instead of 1.1 M on a (5^5;30) sample).  Rank is
 invariant under column permutation, so the order changes the cost only.
+The kernel reduces by floor division, x - x // p * p, not by x % p: numpy
+divides an int64 array by a scalar with a precomputed multiply and shift
+(Granlund and Montgomery, Division by invariant integers using
+multiplication, PLDI 1994), where % costs one hardware division per
+element; on 7,009 entries the reduction is 2.2-2.6x cheaper than %.  It
+is exact because every operand is a residue, so |x| < p^2 < 2^62.
+mod_rank reduces its input with np.remainder instead: an arbitrary int64
+entry within p of -2^63 would overflow x // p * p.
 Fraction-free Bareiss elimination is the slow exact rank over Q for small
 instances.  The functions that build arrays import numpy at first use, so
 a process whose verdicts the engine settles never pays for loading it.
@@ -100,10 +108,13 @@ def random_prime(stream: Iterator[int]) -> int:
 def _eliminate(m: np.ndarray, p: int) -> int:
     """In-place row echelon form of int64 matrix mod p; returns the rank.
 
-    One scan of the pivot column yields the pivot row and the rows to
-    update; their multipliers are scaled by the pivot's inverse, so the
-    pivot row is never normalized.  Row updates are vectorized;
-    residue * residue < p^2 < 2^62 keeps everything in int64.
+    Entries must be residues in [0, p), p < 2^31.  One scan of the pivot
+    column yields the pivot row and the rows to update; their multipliers
+    are scaled by the pivot's inverse, so the pivot row is never
+    normalized.  The target rows are gathered once and updated vectorized.
+    Multipliers (below p^2) and updates (above -p^2) are reduced as
+    x - x // p * p, cheaper than x % p (see the module docstring) and
+    exact, since p^2 < 2^62 keeps x // p * p in int64 too.
     """
     rows, cols = m.shape
     r = 0
@@ -118,8 +129,12 @@ def _eliminate(m: np.ndarray, p: int) -> int:
             m[[r, i]] = m[[i, r]]
         targets = nz[1:] + r
         if targets.size:
-            f = m[targets, c] * pow(int(m[r, c]), -1, p) % p
-            m[targets, c:] = (m[targets, c:] - f[:, None] * m[r, c:]) % p
+            x = m[targets, c:]
+            f = x[:, 0] * pow(int(m[r, c]), -1, p)
+            f -= f // p * p
+            x -= f[:, None] * m[r, c:]
+            x -= x // p * p
+            m[targets, c:] = x
         r += 1
     return r
 

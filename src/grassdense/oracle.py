@@ -225,21 +225,26 @@ def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
     A coordinate block span(e_{s+1}..e_{s+d}) only forces g[i, j] = 0 for
     i outside it and j inside it: those unknowns are dropped, and so are its
     rows.  A chart [I; A] contributes kron(Q, U^T), Q = [-A | I]: the
-    conditions Q g U = 0 on the row-major entries of g.  The result has one
-    column per kept unknown."""
+    conditions Q g U = 0 on the row-major entries of g.  The code builds
+    only its kept columns: column j n + l of the Kronecker product is
+    Q[:, j] outer U^T[:, l], one broadcast product over the kept (j, l), so
+    the (n - d) d x n^2 product is never formed.  The result has one column
+    per kept unknown; without a chart it has no rows."""
     import numpy as np
     n = c.ambient
     forced = np.zeros((n, n), dtype=bool)
     for d, s in zip(c.vector.dims, c.parts):
         if isinstance(s, int):
             forced[:s, s:s + d] = forced[s + d:, s:s + d] = True
-    kept = np.flatnonzero(~forced.ravel())
-    blocks = [np.zeros((0, kept.size), dtype=np.int64)]
-    for d, a in zip(c.vector.dims, c.parts):
-        if not isinstance(a, int):
-            u_t = np.hstack([np.eye(d, dtype=np.int64), a.T])
-            q = np.hstack([-a, np.eye(n - d, dtype=np.int64)])
-            blocks.append(np.kron(q, u_t)[:, kept])
+    charts = [(d, a) for d, a in zip(c.vector.dims, c.parts) if not isinstance(a, int)]
+    if not charts:
+        return np.zeros((0, n * n - np.count_nonzero(forced)), dtype=np.int64)
+    ki, kj = divmod(np.flatnonzero(~forced.ravel()), n)
+    blocks = []
+    for d, a in charts:
+        u_t = np.hstack([np.eye(d, dtype=np.int64), a.T])
+        q = np.hstack([-a, np.eye(n - d, dtype=np.int64)])
+        blocks.append((q[:, None, ki] * u_t[None, :, kj]).reshape(-1, ki.size))
     return np.vstack(blocks)
 
 

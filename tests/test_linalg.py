@@ -234,6 +234,61 @@ class TestColumnOrder:
         assert mod_rank(a[rows][:, cols], P) == mod_rank(a, P)
 
 
+def _remainder_eliminate(m, p):
+    """The elimination kernel as it reduced before floor division: every
+    multiplier and row update by int64 % p."""
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = m[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        targets = nz[1:] + r
+        if targets.size:
+            f = m[targets, c] * pow(int(m[r, c]), -1, p) % p
+            m[targets, c:] = (m[targets, c:] - f[:, None] * m[r, c:]) % p
+        r += 1
+    return r
+
+
+@st.composite
+def residue_matrices(draw):
+    """A prime p in {P, 2^31 - 1} and a matrix of residues mod p up to
+    10 x 12: entries at random, near p - 1 (so that a row update reaches
+    about -(p - 1)^2), 0 and 1, with some rows sums of multiples of others."""
+    p = draw(st.sampled_from([P, 2**31 - 1]))
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    entries = st.one_of(st.integers(0, p - 1), st.integers(p - 4, p - 1), st.sampled_from([0, 1]))
+    a = draw(arrays(np.int64, (rows, cols), elements=entries))
+    for dst, src, k in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1),
+                                               st.sampled_from([1, 2, p - 1])), max_size=4)):
+        a[dst] = (a[dst] + a[src] * k) % p
+    return p, a
+
+
+class TestKernel:
+    @given(residue_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_remainder_kernel(self, pa):
+        p, a = pa
+        m, ref = a.copy(), a.copy()
+        assert _eliminate(m, p) == _remainder_eliminate(ref, p)
+        assert (m == ref).all()
+
+    @pytest.mark.parametrize("p", [P, 2**31 - 1])
+    def test_extreme_update(self, p):
+        # the target row's update is 0 - (p - 1)(p - 1) = -(p - 1)^2, which
+        # is 1 mod p, so the reduced entry reads p - 1
+        m = np.array([[1, p - 1], [p - 1, 0]], dtype=np.int64)
+        assert _eliminate(m, p) == 2
+        assert m.tolist() == [[1, p - 1], [0, p - 1]]
+
+
 class TestRational:
     def test_bareiss_vs_modular(self):
         rng = np.random.default_rng(11)

@@ -559,13 +559,32 @@ class TestNonIntegerMatrices:
 
 
 class TestForcedMask:
+    # the oracle-n30 benchmark vectors, then smaller ones
     @pytest.mark.parametrize("prime", [P, None])
-    @pytest.mark.parametrize("text", ["12^2,13^2;25", "5^5;30", "3^6,5;19", "2,3;4", "1^5,3;6"])
-    def test_matches_index_construction(self, text, prime):
-        for seed in range(3):
+    @pytest.mark.parametrize("text", ["10^3;30", "5^5;30", "1^10;30", "15,14;30", "9^3;27",
+                                      "7^4;28", "12^2,13^2;25", "3^6,5;19", "2,3;4", "1^5,3;6"])
+    def test_matches_index_construction(self, text, prime, monkeypatch):
+        # the kept-column product equals kron(Q, U^T)[:, kept] without
+        # forming the Kronecker product
+        for seed in range(4):
             c = sample_configuration(parse(text), prime=prime, seed=seed)
-            m, ref = _stabilizer_system(c), _ix_system(c)
-            assert m.shape == ref.shape and (m == ref).all()
+            ref = _ix_system(c)
+            with monkeypatch.context() as mp:
+                mp.setattr(np, "kron", None)
+                m = _stabilizer_system(c)
+            assert m.dtype == np.int64 and m.shape == ref.shape and (m == ref).all()
+
+    @pytest.mark.parametrize("text, parts, forced", [
+        ("2,3;5", (0, 2), 12),        # disjoint blocks
+        ("2,3,3;5", (0, 1, 2), 15),   # overlapping blocks force some entries twice
+        ("3^3;4", (0, 1, 0), 6),      # a repeated block
+        ("1^4;2", (0, 1, 1, 0), 2),   # every entry of g off the diagonal
+    ])
+    def test_chart_free_has_no_rows(self, text, parts, forced):
+        c = GenericConfiguration(parse(text), parts, P)
+        n = c.ambient
+        assert _stabilizer_system(c).shape == _ix_system(c).shape == (0, n * n - forced)
+        assert stabilizer_nullity(c) == n * n - forced
 
     @given(small_vectors(), st.sampled_from([P, None]), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
