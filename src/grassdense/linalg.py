@@ -83,8 +83,8 @@ def words(*key: int) -> Iterator[int]:
     """The endless splitmix64 stream keyed by key: from state len(key), each
     entry k in turn sets the state to the next word xor k, and the words
     after that are yielded.  Raises ValueError, at the first draw, unless
-    every entry is an int in [0, 2^64)."""
-    if not all(isinstance(k, int) and 0 <= k <= _MASK64 for k in key):
+    every entry is an int in [0, 2^64), not a bool."""
+    if not all(type(k) is int and 0 <= k <= _MASK64 for k in key):
         raise ValueError(f"key entries must be ints in [0, 2^64), got {key!r}")
     state, entries = len(key), list(key)
     while True:

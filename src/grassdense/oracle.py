@@ -198,6 +198,14 @@ def _slice(d: DimensionVector) -> dict[int, int]:
     return start
 
 
+def _stream_key(name: str, value) -> int:
+    """value as a key of words: an int in [0, 2^64), not a bool; else ValueError."""
+    import numpy as np
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be an int in [0, 2^64), got {value!r}")
+    return int(value)
+
+
 def sample_configuration(d: DimensionVector, prime: Optional[int] = None, seed: int = 0,
                          sample: int = 0) -> GenericConfiguration:
     """Fix the slice's pair at [I; 0] and [0; I] and, when they are a
@@ -206,8 +214,10 @@ def sample_configuration(d: DimensionVector, prime: Optional[int] = None, seed: 
     row-major from the words w of words(seed, sample, i): w % prime over
     F_prime, w % 10001 - 5000 over Q (prime None; a nonzero r x r minor, of
     degree <= 2r, vanishes with probability <= 2r / 10001), each biased by
-    less than modulus / 2^64.  Without a chart point nothing is drawn."""
+    less than modulus / 2^64.  Without a chart point nothing is drawn, but a
+    bad seed or sample still raises ValueError, as in oracle_decide."""
     import numpy as np
+    seed, sample = _stream_key("seed", seed), _stream_key("sample", sample)
     n, start = d.ambient, _slice(d)
     m, shift = (10001, 5000) if prime is None else (int(prime), 0)  # a numpy int would overflow
 
@@ -273,10 +283,7 @@ def oracle_decide(d: DimensionVector, samples: int = 3, seed: int = 0) -> Oracle
     import numpy as np
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an int >= 1, got {samples!r}")
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an int in [0, 2^64), got {seed!r}")
-    seed, expected = int(seed), d.expected_stab_dim
+    seed, expected = _stream_key("seed", seed), d.expected_stab_dim
     observed: list[tuple[int, int]] = []  # (prime, stab) per sample run
     if expected >= 0:
         stream, primes = words(seed), []

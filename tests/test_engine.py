@@ -266,6 +266,33 @@ def test_domination_never_fires(monkeypatch):
     for size in range(1, 6):
         classify_size(size)
     assert steps and not any(steps)
+    # No base rule but the dimension count fires at length 2 or 3, so a
+    # store from length 4 up holds every seed, and a form of length <= 4,
+    # which has no strict sub-multiset of length 4, never needs it.
+    for n in range(2, 13):
+        for length in (2, 3):
+            for dims in itertools.combinations_with_replacement(range(1, n), length):
+                v = DimensionVector(dims, n)
+                assert all(fn(v) is None for rid, fn in R.BASE_RULES.items()
+                           if rid != R.TRIVIALLY_SPARSE), str(v)
+
+
+def test_short_classification_derived():
+    # the length <= 4 classification is derived by the reductions, not
+    # stored: sparse exactly at length 4 with total 2n, dense otherwise; and
+    # no such walk builds a domination seed store
+    eng = Engine()
+    vecs = [v for v in enumerate_vectors(14, 4)
+            if v == v.canonical() and not v.is_trivially_sparse]
+    assert len(vecs) == 4382
+    wrong = []
+    for d in vecs:
+        cert = eng.decide(d).certificate
+        want = Status.SPARSE if d.length == 4 and d.total == 2 * d.ambient else Status.DENSE
+        if cert is None or cert.status is not want or not verify_certificate(cert):
+            wrong.append(str(d))
+    assert wrong == []
+    assert eng._seed_cache == {}
 
 
 class TestVerifyCertificate:
@@ -348,7 +375,7 @@ class TestVerifyCertificate:
         # the oracle refutes these Balanced dense steps, so no certificate may
         # name Balanced: it is no registered rule
         d = parse(text)
-        step = RewriteStep("Balanced", R.BASE_DENSE, (("reason", "not-trivially-sparse"),), d, ())
+        step = RewriteStep("Balanced", "BaseDense", (("reason", "not-trivially-sparse"),), d, ())
         with pytest.raises(MalformedCertificateError, match="unknown rule_id"):
             verify_certificate(Certificate(d, Status.DENSE, (step,)))
 

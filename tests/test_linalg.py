@@ -99,8 +99,10 @@ class TestWords:
         assert all(0 <= w < 2**64 for f in firsts for w in f)
 
     def test_rejects_bad_keys(self):
-        # a numpy int is refused too: its arithmetic would wrap, not mask
-        for key in [(-1,), (2**64,), (1.0,), ("1",), (0, None), (np.int64(1),)]:
+        # a numpy int is refused too: its arithmetic would wrap, not mask;
+        # and so is a bool, which is no key
+        for key in [(-1,), (2**64,), (1.0,), ("1",), (0, None), (np.int64(1),), (True,),
+                    (0, False)]:
             with pytest.raises(ValueError, match="key entries"):
                 next(words(*key))
 

@@ -123,6 +123,19 @@ class TestSampling:
         b = sample_configuration(parse("1,3,3,3;5"), prime=P, seed=1)
         assert all((x == y).all() for x, y in zip(a.subspaces, b.subspaces))
 
+    def test_bad_seed_or_sample_raises(self):
+        # by oracle_decide's rule, whether or not anything is drawn: (2,3;5)
+        # has no chart point, (1,3^3;5) two
+        for text in ("2,3;5", "1,3,3,3;5"):
+            for bad in (-1, 2**64, 1.5, True, False, None, np.int64(-1)):
+                with pytest.raises(ValueError, match="^seed must"):
+                    sample_configuration(parse(text), P, bad)
+                with pytest.raises(ValueError, match="^sample must"):
+                    sample_configuration(parse(text), P, 0, bad)
+        a = sample_configuration(parse("1,3,3,3;5"), P, np.uint64(2**64 - 1), 2**64 - 1)
+        b = sample_configuration(parse("1,3,3,3;5"), P, 2**64 - 1, 2**64 - 1)
+        assert all((x == y).all() for x, y in zip(a.subspaces, b.subspaces))
+
     def test_sample_index_changes_sample(self):
         a = sample_configuration(parse("2,3,3;6"), prime=P, seed=1, sample=0)
         b = sample_configuration(parse("2,3,3;6"), prime=P, seed=1, sample=1)

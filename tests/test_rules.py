@@ -47,29 +47,17 @@ class TestTriviallySparse:
 
 def test_base_rule_registry():
     # Balanced is no rule: classify_size applies its window check itself
-    assert list(R.BASE_RULES) == [R.TRIVIALLY_SPARSE, R.LENGTH4, R.SUBSEQ_2N]
+    assert list(R.BASE_RULES) == [R.TRIVIALLY_SPARSE, R.SUBSEQ_2N]
     assert "Balanced" not in R.RULE_IDS
 
 
-class TestLength4:
-    def test_dense_short(self):
-        assert R.rule_length4(parse("2,3,3;4")).direction == R.BASE_DENSE
-
-    def test_sparse_2n(self):
-        # the length-4 total-2n case is SubseqTwoN's whole-vector case
+class TestSubseqTwoN:
+    def test_whole_vector(self):
+        # a length-4 vector of total 2n is its own witness
         for text in ("1,1,2,2;3", "6,6,7,7;13"):
             d = parse(text)
-            assert R.rule_length4(d) is None
             assert R.rule_subseq_2n(d).params_dict() == {"side": "self", "subset": d.dims}
 
-    def test_length4_non_2n_dense(self):
-        assert R.rule_length4(parse("1,1,2,3;4")).direction == R.BASE_DENSE
-
-    def test_no_fire_long(self):
-        assert R.rule_length4(parse("1,1,1,1,1;3")) is None
-
-
-class TestSubseqTwoN:
     def test_fires_on_self(self):
         s = R.rule_subseq_2n(parse("1,1,3,3,4;6"))
         assert s.direction == R.BASE_SPARSE
@@ -248,11 +236,11 @@ def _sweep_dense(d):
 @pytest.mark.parametrize("rule_id", list(R.BASE_RULES))
 def test_base_rule_agrees_with_oracle_in_isolation(rule_id):
     # each base rule on its own, so search order cannot hide a wrong rule
-    # behind a right one
+    # behind a right one; every base step claims sparse
     wrong = []
     for d in enumerate_vectors(8, 9):
         s = R.BASE_RULES[rule_id](d)
-        if s is not None and (s.direction == R.BASE_DENSE) != _sweep_dense(d):
+        if s is not None and (s.direction != R.BASE_SPARSE or _sweep_dense(d)):
             wrong.append(f"{d}: {s.direction}")
     assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:3]}"
 
