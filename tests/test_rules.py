@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdense.core import DimensionVector, Status, parse
+from grassdense.engine import Engine, verify_certificate
 from grassdense.families import enumerate_vectors
 from grassdense.oracle import oracle_decide
 from grassdense import rules as R
@@ -49,6 +50,25 @@ def test_base_rule_registry():
     # Balanced is no rule: classify_size applies its window check itself
     assert list(R.BASE_RULES) == [R.TRIVIALLY_SPARSE, R.SUBSEQ_2N]
     assert "Balanced" not in R.RULE_IDS
+
+
+class TestLength4:
+    # no base rule settles a short dense vector: the engine derives the
+    # verdict by reductions that end in a vacuous Iff step
+    @staticmethod
+    def _derived_dense(text):
+        d = parse(text)
+        assert all(fn(d) is None for fn in R.BASE_RULES.values())
+        cert = Engine().decide(d).certificate
+        assert cert.status is Status.DENSE and verify_certificate(cert)
+        last = cert.steps[-1]
+        assert last.is_vacuous and last.direction == R.IFF
+
+    def test_dense_short(self):
+        self._derived_dense("2,3,3;4")
+
+    def test_length4_non_2n_dense(self):
+        self._derived_dense("1,1,2,3;4")
 
 
 class TestSubseqTwoN:
