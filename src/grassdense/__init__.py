@@ -11,7 +11,7 @@ Engine().decide may answer Unknown; only `grassdense decide` then falls back
 to oracle_decide, whose OracleReport is the oracle's answer.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.9.0"
 
 from .core import (
     AmbientMismatchError,

@@ -50,6 +50,7 @@ RULE_LABELS = {
     rules.L8: "complementary pair",
     rules.L9: "span intersect",
     rules.L10: "intersection swap",
+    rules.LENGTH4: "length-4 table",
     rules.EXCESS_L1: "excess collapse",
     rules.DOMINATION: "dominates sparse",
     rules.COMPLEMENT: "complement",

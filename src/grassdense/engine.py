@@ -2,21 +2,20 @@
 
 At each canonical form (lex-smaller of a vector and its complement) that is
 not in the memo, the walk takes the first step that applies: the first base
-rule that fires, the dimension count first (a Sparse leaf); else domination,
-on a form longer than 4; else the first step of the first reduction in
-registry order, on the form before its complement.  A vacuous step is the
-one Dense leaf.  No second step is ever tried: a form met twice in one
-call, or one where no rule fires, answers Unknown.  Engine.memo keeps each
-form walked with its suffix of the chain for the lifetime of the Engine,
-which its caller holds; Unknown is never memoized.  last_nodes counts the
-forms the latest call walked.
+rule that fires, the dimension count first (a leaf); else domination; else
+the first step of the first reduction in registry order, on the form before
+its complement.  A vacuous step is a Dense leaf.  No second step is ever
+tried: a form met twice in one call, or one where no rule fires, answers
+Unknown.  Engine.memo keeps each form walked with its suffix of the chain
+for the lifetime of the Engine, which its caller holds; Unknown is never
+memoized.  last_nodes counts the forms the latest call walked.
 
 Every reduction is Iff.  Domination, the one SparseIf step, always points at
-a seed, which SubseqTwoN proves sparse; each base rule fires on a vector iff
-it fires on the complement, so the walk ends at the seed's Sparse leaf.  As
-defence in depth, a chain with a SparseIf step that ends at a Dense leaf
-answers Unknown, so the engine never emits a certificate that
-verify_certificate rejects.
+a seed, which its own base step proves sparse other than by the dimension
+count; each base rule fires on a vector iff it fires on the complement, so
+the walk ends at the seed's Sparse leaf.  As defence in depth, a chain with
+a SparseIf step that ends at a Dense leaf answers Unknown, so the engine
+never emits a certificate that verify_certificate rejects.
 
 A settled verdict carries its Certificate: the chain from the queried vector
 to a leaf.  verify_certificate re-fires every step independently of the
@@ -32,7 +31,7 @@ from typing import Optional
 from .core import DimensionVector, Status
 from . import rules
 from .rules import (
-    RewriteStep, BASE_SPARSE, IFF, SPARSE_IF,
+    RewriteStep, BASE_DENSE, BASE_SPARSE, IFF, SPARSE_IF,
     COMPLEMENT, DOMINATION, TRIVIALLY_SPARSE, RULE_IDS,
 )
 
@@ -64,9 +63,8 @@ class Verdict:
         return Status.UNKNOWN if self.certificate is None else self.certificate.status
 
 
-# the domination seed store covers ambients up to, and lengths within, these
+# the domination seed store covers ambients and lengths up to these
 DOMINATION_AMBIENT_CAP = 12
-DOMINATION_LEN_MIN = 4
 DOMINATION_LEN_CAP = 6
 
 
@@ -88,11 +86,12 @@ class Engine:
             return self._seed_cache[n]
         seeds: list[DimensionVector] = []
         if n <= DOMINATION_AMBIENT_CAP:
-            for length in range(DOMINATION_LEN_MIN, DOMINATION_LEN_CAP + 1):
+            for length in range(2, DOMINATION_LEN_CAP + 1):
                 for dims in itertools.combinations_with_replacement(range(1, n), length):
                     v = DimensionVector(dims, n)
                     step = self._base_step(v)
-                    if step is not None and step.rule_id != TRIVIALLY_SPARSE:
+                    if (step is not None and step.direction == BASE_SPARSE
+                            and step.rule_id != TRIVIALLY_SPARSE):
                         seeds.append(v)
         out = tuple(seeds)
         self._seed_cache[n] = out
@@ -143,10 +142,7 @@ class Engine:
         """rep's first step, after the complement step a reduction on the
         complement needs; () when no rule fires."""
         step = self._base_step(rep)
-        if step is None and rep.length > DOMINATION_LEN_MIN:
-            # every seed is settled by SubseqTwoN, so has >= 4 entries, and
-            # domination needs a strict sub-multiset of rep or of rep^c; so no
-            # form of length <= 4 dominates one (ROADMAP item 2 deletes both)
+        if step is None:
             step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
         if step is not None:
             return (step,)
@@ -165,11 +161,11 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 def _leaf_status(step: RewriteStep) -> Optional[Status]:
-    """The verdict a leaf settles: Dense for a vacuous Iff rewrite, Sparse
-    for a base-rule hit; None for a step that is no leaf."""
+    """The verdict a leaf settles (a base-rule hit or a vacuous Iff
+    rewrite); None for a step that is no leaf."""
     if step.outputs:
         return None
-    if step.is_vacuous and step.direction == IFF:
+    if step.direction == BASE_DENSE or (step.is_vacuous and step.direction == IFF):
         return Status.DENSE
     if step.direction == BASE_SPARSE:
         return Status.SPARSE
@@ -219,7 +215,7 @@ def verify_certificate(cert: Certificate) -> bool:
             raise MalformedCertificateError("step params are not (name, value) pairs")
         if step.rule_id not in RULE_IDS:
             raise MalformedCertificateError(f"unknown rule_id {step.rule_id!r}")
-        if step.direction not in (IFF, SPARSE_IF, BASE_SPARSE):
+        if step.direction not in (IFF, SPARSE_IF, BASE_DENSE, BASE_SPARSE):
             raise MalformedCertificateError(f"unknown direction {step.direction!r}")
     if cert.steps[0].input != cert.root:
         raise MalformedCertificateError("chain does not start at root")

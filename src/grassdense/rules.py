@@ -1,8 +1,8 @@
 """Rewrite rules on dimension vectors.
 
 Each rule is a pure function from a DimensionVector to rewrite steps.  A step
-either proves the vector sparse outright (direction BaseSparse) or relates it
-to smaller vectors:
+either settles the vector outright (direction BaseDense / BaseSparse) or
+relates it to smaller vectors:
 
     Iff       input dense  <=>  output dense   (every reduction rule)
     SparseIf  output sparse =>  input sparse   (Domination only)
@@ -20,9 +20,8 @@ check them all.
 A rewrite may produce a vector all of whose entries drop during
 normalization ("vacuous": the configuration degenerates to a point, which is
 dense).  Such steps carry empty outputs and params ``vacuous=True``; for an
-Iff rule this settles the input as dense, and it is the only way a vector is
-proved dense.  The excess collapse at l = 0 is always vacuous, so it is how a
-total of at most n+1 is proved dense.
+Iff rule this settles the input as dense.  The excess collapse at l = 0 is
+always vacuous, so it is how a total of at most n+1 is proved dense.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ SUBSEQ_2N = "SubseqTwoN"
 L8 = "L8"
 L9 = "L9"
 L10 = "L10"
+LENGTH4 = "Length4"
 EXCESS_L1 = "ExcessL1"
 DOMINATION = "Domination"
 COMPLEMENT = "Complement"
@@ -49,6 +49,7 @@ TRIVIALLY_SPARSE = "TriviallySparse"
 # directions
 IFF = "Iff"
 SPARSE_IF = "SparseIf"
+BASE_DENSE = "BaseDense"
 BASE_SPARSE = "BaseSparse"
 
 # Subset enumeration is exhaustive up to 2**SUBSET_ENUM_CAP sub-multisets
@@ -127,6 +128,17 @@ def rule_trivially_sparse(d: DimensionVector) -> Optional[RewriteStep]:
     return _step(TRIVIALLY_SPARSE, BASE_SPARSE, d, (), expected=expected)
 
 
+def rule_length4(d: DimensionVector) -> Optional[RewriteStep]:
+    """Vectors of length <= 4 are classified completely: sparse exactly for
+    length 4 with total dimension 2n (the whole-vector case of
+    rule_subseq_2n, left to it), dense otherwise.  The reductions derive the
+    same verdicts, but not in a bounded number of steps: L8 walks
+    (k-1,k^3;2k) down one ambient dimension at a time."""
+    if d.length > 4 or (d.length == 4 and d.total == 2 * d.ambient):
+        return None
+    return _step(LENGTH4, BASE_DENSE, d, (), length=d.length, total=d.total)
+
+
 def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
     """A sub-multiset of at least 4 entries summing to exactly 2n (in d or
     its complement) forces sparsity: split it into four nonempty parts of
@@ -156,9 +168,9 @@ def rule_domination_sparse(d: DimensionVector,
 
     Only a strict sub-multiset w != v counts: the engine asks about a
     canonical form only after its base rules left it unsettled, and each
-    base rule fires on v iff it fires on v^c (the dimension count and
-    SubseqTwoN's two-sided scan are both invariant under complement), so
-    neither the form nor its complement is a seed."""
+    base rule fires on v iff it fires on v^c (the dimension count, the
+    length-4 total-2n test and SubseqTwoN's two-sided scan are all invariant
+    under complement), so neither the form nor its complement is a seed."""
     candidates = sorted(known_sparse, key=lambda v: (v.length, v.total, v.dims))
     for side, v in (("self", d), ("complement", d.complement())):
         for w in candidates:
@@ -257,6 +269,7 @@ def rule_complement(d: DimensionVector) -> RewriteStep:
 
 BASE_RULES = {
     TRIVIALLY_SPARSE: rule_trivially_sparse,
+    LENGTH4: rule_length4,
     SUBSEQ_2N: rule_subseq_2n,
 }
 

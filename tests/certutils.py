@@ -13,7 +13,7 @@ from typing import Iterator
 from grassdense.core import DimensionVector, Status
 from grassdense.engine import Certificate
 from grassdense.rules import (
-    RewriteStep, BASE_SPARSE, IFF, SPARSE_IF, RULE_IDS,
+    RewriteStep, BASE_DENSE, BASE_SPARSE, IFF, SPARSE_IF, RULE_IDS,
     TRIVIALLY_SPARSE,
 )
 
@@ -48,11 +48,11 @@ def mutants(cert: Certificate) -> Iterator[Certificate]:
             cert, steps=steps[1:2] + steps[0:1] + steps[2:])
 
     leaf = steps[-1]
-    # flip the leaf verdict: a sparse base leaf to the retired BaseDense
-    # direction, a vacuous (dense) leaf to BaseSparse
-    flipped = "BaseDense" if leaf.direction == BASE_SPARSE else BASE_SPARSE
-    yield dataclasses.replace(
-        cert, steps=steps[:-1] + (dataclasses.replace(leaf, direction=flipped),))
+    # flip the leaf verdict direction
+    if leaf.direction in (BASE_DENSE, BASE_SPARSE):
+        flipped = BASE_SPARSE if leaf.direction == BASE_DENSE else BASE_DENSE
+        yield dataclasses.replace(
+            cert, steps=steps[:-1] + (dataclasses.replace(leaf, direction=flipped),))
 
     for i, step in enumerate(steps):
         def repl(new_step):

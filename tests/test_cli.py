@@ -337,7 +337,7 @@ class TestCache:
         assert "(cached)" in cached and "(cached)" not in fresh
         steps = fresh.splitlines()[1:]
         assert len(steps) == 4 and "subset=(3, 3, 4)" in fresh
-        assert "excess collapse" in steps[-1] and "vacuous=True" in steps[-1]
+        assert "length-4 table" in steps[-1]
         assert cached.splitlines()[1:] == steps
 
     def test_complement_served_its_own_record(self, capsys):

@@ -266,21 +266,18 @@ def test_domination_never_fires(monkeypatch):
     for size in range(1, 6):
         classify_size(size)
     assert steps and not any(steps)
-    # No base rule but the dimension count fires at length 2 or 3, so a
-    # store from length 4 up holds every seed, and a form of length <= 4,
-    # which has no strict sub-multiset of length 4, never needs it.
-    for n in range(2, 13):
-        for length in (2, 3):
-            for dims in itertools.combinations_with_replacement(range(1, n), length):
-                v = DimensionVector(dims, n)
-                assert all(fn(v) is None for rid, fn in R.BASE_RULES.items()
-                           if rid != R.TRIVIALLY_SPARSE), str(v)
 
 
-def test_short_classification_derived():
-    # the length <= 4 classification is derived by the reductions, not
-    # stored: sparse exactly at length 4 with total 2n, dense otherwise; and
-    # no such walk builds a domination seed store
+def test_short_classification_derived_without_length4(monkeypatch):
+    # Length4 is a base fact the reductions can derive: with it unregistered,
+    # every canonical, not trivially sparse vector of length <= 4 with
+    # n <= 14 gets Length4's verdict, with a certificate that verifies.  The
+    # seed store is left empty: a seed has at least 4 entries (SubseqTwoN's
+    # witness), and domination needs a strict sub-multiset, so it cannot
+    # fire at length <= 4, and building the stores would take most of the time
+    monkeypatch.setattr(R, "BASE_RULES",
+                        {k: f for k, f in R.BASE_RULES.items() if k != R.LENGTH4})
+    monkeypatch.setattr(Engine, "_domination_seeds", lambda self, n: ())
     eng = Engine()
     vecs = [v for v in enumerate_vectors(14, 4)
             if v == v.canonical() and not v.is_trivially_sparse]
@@ -292,7 +289,20 @@ def test_short_classification_derived():
         if cert is None or cert.status is not want or not verify_certificate(cert):
             wrong.append(str(d))
     assert wrong == []
-    assert eng._seed_cache == {}
+    # but the derivation can cost a step per ambient dimension: L8 walks
+    # (k-1,k^3;2k) down one ambient at a time, so Length4 stays
+    for k in (10, 50):
+        eng = Engine()
+        assert eng.decide(DimensionVector((k - 1, k, k, k), 2 * k)).status is Status.DENSE
+        assert eng.last_nodes == 2 * k - 1
+
+
+def test_length4_settles_long_chain_in_one_step():
+    eng = Engine()
+    k = 2000
+    cert = eng.decide(DimensionVector((k - 1, k, k, k), 2 * k)).certificate
+    assert [s.rule_id for s in cert.steps] == [R.LENGTH4]
+    assert eng.last_nodes == 1 and len(eng.memo) == 1
 
 
 class TestVerifyCertificate:
@@ -375,7 +385,7 @@ class TestVerifyCertificate:
         # the oracle refutes these Balanced dense steps, so no certificate may
         # name Balanced: it is no registered rule
         d = parse(text)
-        step = RewriteStep("Balanced", "BaseDense", (("reason", "not-trivially-sparse"),), d, ())
+        step = RewriteStep("Balanced", R.BASE_DENSE, (("reason", "not-trivially-sparse"),), d, ())
         with pytest.raises(MalformedCertificateError, match="unknown rule_id"):
             verify_certificate(Certificate(d, Status.DENSE, (step,)))
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdense.core import DimensionVector, Status, parse
-from grassdense.engine import Engine, verify_certificate
 from grassdense.families import enumerate_vectors
 from grassdense.oracle import oracle_decide
 from grassdense import rules as R
@@ -48,36 +47,29 @@ class TestTriviallySparse:
 
 def test_base_rule_registry():
     # Balanced is no rule: classify_size applies its window check itself
-    assert list(R.BASE_RULES) == [R.TRIVIALLY_SPARSE, R.SUBSEQ_2N]
+    assert list(R.BASE_RULES) == [R.TRIVIALLY_SPARSE, R.LENGTH4, R.SUBSEQ_2N]
     assert "Balanced" not in R.RULE_IDS
 
 
 class TestLength4:
-    # no base rule settles a short dense vector: the engine derives the
-    # verdict by reductions that end in a vacuous Iff step
-    @staticmethod
-    def _derived_dense(text):
-        d = parse(text)
-        assert all(fn(d) is None for fn in R.BASE_RULES.values())
-        cert = Engine().decide(d).certificate
-        assert cert.status is Status.DENSE and verify_certificate(cert)
-        last = cert.steps[-1]
-        assert last.is_vacuous and last.direction == R.IFF
-
     def test_dense_short(self):
-        self._derived_dense("2,3,3;4")
+        assert R.rule_length4(parse("2,3,3;4")).direction == R.BASE_DENSE
+
+    def test_sparse_2n(self):
+        # the length-4 total-2n case is SubseqTwoN's whole-vector case
+        for text in ("1,1,2,2;3", "6,6,7,7;13"):
+            d = parse(text)
+            assert R.rule_length4(d) is None
+            assert R.rule_subseq_2n(d).params_dict() == {"side": "self", "subset": d.dims}
 
     def test_length4_non_2n_dense(self):
-        self._derived_dense("1,1,2,3;4")
+        assert R.rule_length4(parse("1,1,2,3;4")).direction == R.BASE_DENSE
+
+    def test_no_fire_long(self):
+        assert R.rule_length4(parse("1,1,1,1,1;3")) is None
 
 
 class TestSubseqTwoN:
-    def test_whole_vector(self):
-        # a length-4 vector of total 2n is its own witness
-        for text in ("1,1,2,2;3", "6,6,7,7;13"):
-            d = parse(text)
-            assert R.rule_subseq_2n(d).params_dict() == {"side": "self", "subset": d.dims}
-
     def test_fires_on_self(self):
         s = R.rule_subseq_2n(parse("1,1,3,3,4;6"))
         assert s.direction == R.BASE_SPARSE
@@ -256,11 +248,11 @@ def _sweep_dense(d):
 @pytest.mark.parametrize("rule_id", list(R.BASE_RULES))
 def test_base_rule_agrees_with_oracle_in_isolation(rule_id):
     # each base rule on its own, so search order cannot hide a wrong rule
-    # behind a right one; every base step claims sparse
+    # behind a right one
     wrong = []
     for d in enumerate_vectors(8, 9):
         s = R.BASE_RULES[rule_id](d)
-        if s is not None and (s.direction != R.BASE_SPARSE or _sweep_dense(d)):
+        if s is not None and (s.direction == R.BASE_DENSE) != _sweep_dense(d):
             wrong.append(f"{d}: {s.direction}")
     assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:3]}"
 
