@@ -5,17 +5,20 @@ every vector with one verdict, Dense or Sparse, that carries one kind of
 evidence: an engine certificate, or an oracle report when the engine leaves
 the vector Unknown; no other caller falls back to the oracle.  Exit codes
 for decide: 0 = Dense, 1 = Sparse, 3 = error, no verdict.  Every command exits
-3 on bad input: a bad vector or family base prints one `error: <msg>` line on
-stderr, a bad option prints the usage first, and an internal error prints its
-traceback.  decide results are cached as append-only JSONL (default
-~/.cache/grassdense/verdicts.jsonl, override with GRASSDENSE_CACHE), keyed by
-canonical form, seed, samples and version, and served only to the vector the
-record answered (a vector and its complement share a key, not a
-certificate).  A lookup parses only the lines that can hold its record: a line
-in the writer's layout for another canonical form is skipped unread, so damage
-to it is not reported; any other line that is not a readable Dense or Sparse
-record is skipped with a warning on stderr.  A record appended after a cut-off
-last line starts a line of its own.
+3 on bad input: a bad vector or family base, a vector past the parser's entry
+ceiling, or a stabilizer system past the oracle's ceiling prints one
+`error: <msg>` line on stderr, a bad option prints the usage first, and an
+internal error prints its traceback.  decide results are cached as
+append-only JSONL (default ~/.cache/grassdense/verdicts.jsonl, override with
+GRASSDENSE_CACHE), keyed by canonical form, seed, samples and version, and
+served only to the vector the record answered (a vector and its complement
+share a key, not a certificate).  Without a home directory, decide warns
+once and skips the default cache; --no-cache never looks for it.  A lookup
+parses only the lines that can hold its record: a line in the writer's
+layout for another canonical form is skipped unread, so damage to it is not
+reported; any other line that is not a readable Dense or Sparse record is
+skipped with a warning on stderr.  A record appended after a cut-off last
+line starts a line of its own.
 """
 
 from __future__ import annotations
@@ -146,11 +149,16 @@ def _render(record: dict, cached: bool, trace: bool) -> str:
 
 # -- cache -------------------------------------------------------------------
 
-def _cache_path() -> Path:
+def _cache_path() -> Optional[Path]:
+    """The cache file; None, with a warning, when there is no home directory."""
     env = os.environ.get("GRASSDENSE_CACHE")
     if env:
         return Path(env)
-    return Path.home() / ".cache" / "grassdense" / "verdicts.jsonl"
+    try:
+        return Path.home() / ".cache" / "grassdense" / "verdicts.jsonl"
+    except RuntimeError as exc:
+        sys.stderr.write(f"warning: cache unusable ({exc})\n")
+        return None
 
 
 # sort_keys puts "key" first in every line _cache_append writes, and
@@ -231,9 +239,9 @@ def cmd_decide(args) -> int:
     # the version keeps verdicts cached under one rule set from the next
     key = {"canonical": str(d.canonical()), "seed": args.seed, "samples": args.samples,
            "version": __version__}
-    cache = _cache_path()
+    cache = None if args.no_cache else _cache_path()
     want = (key, _vec_json(d))  # the key is shared with the complement
-    cached = None if args.no_cache else _cache_lookup(cache, want)
+    cached = None if cache is None else _cache_lookup(cache, want)
     if cached is None:
         verdict, report = Engine().decide(d), None
         if verdict.status is Status.UNKNOWN:
@@ -241,7 +249,7 @@ def cmd_decide(args) -> int:
             for msg in report.anomalies:
                 sys.stderr.write(f"warning: {msg}\n")
         record = _record(d, verdict, report, key)
-        if not args.no_cache:
+        if cache is not None:
             _cache_append(cache, record)
     else:
         record = dict(cached, timestamp=_now())

@@ -171,6 +171,10 @@ def normalize(raw: Iterable[int], ambient: int) -> DimensionVector:
 _NUMERAL_RE = re.compile(r"[0-9]+")
 _TERM_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 
+# parse refuses a vector with more entries than this, counting exponents,
+# before it builds them; decide on a vector this long takes about a second
+MAX_ENTRIES = 10**6
+
 
 def parse(text: str) -> DimensionVector:
     """Parse "(1^2,2^3;7)" (parentheses and exponents optional) and normalize."""
@@ -191,6 +195,8 @@ def parse(text: str) -> DimensionVector:
         base, exp = int(m.group(1)), int(m.group(2) or 1)
         if exp < 1:
             raise VectorParseError(f"exponent must be >= 1 in {term.strip()!r}")
+        if len(raw) + exp > MAX_ENTRIES:
+            raise VectorParseError(f"more than {MAX_ENTRIES} entries in {text[:40]!r}")
         raw.extend([base] * exp)
     try:
         return normalize(raw, ambient)

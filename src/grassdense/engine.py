@@ -4,11 +4,12 @@ At each canonical form (lex-smaller of a vector and its complement) that is
 not in the memo, the walk takes the first step that applies: the first base
 rule that fires, the dimension count first (a leaf); else domination; else
 the first step of the first reduction in registry order, on the form before
-its complement.  A vacuous step is a Dense leaf.  No second step is ever
-tried: a form met twice in one call, or one where no rule fires, answers
-Unknown.  Engine.memo keeps each form walked with its suffix of the chain
-for the lifetime of the Engine, which its caller holds; Unknown is never
-memoized.  last_nodes counts the forms the latest call walked.
+its complement.  The walk stops at a leaf, and the verdict is what that
+step settles (RewriteStep.settles).  No second step is ever tried: a form
+met twice in one call, or one where no rule fires, answers Unknown.
+Engine.memo keeps each form walked with its suffix of the chain for the
+lifetime of the Engine, which its caller holds; Unknown is never memoized.
+last_nodes counts the forms the latest call walked.
 
 Every reduction is Iff.  Domination, the one SparseIf step, always points at
 a seed, which its own base step proves sparse other than by the dimension
@@ -19,7 +20,8 @@ never emits a certificate that verify_certificate rejects.
 
 A settled verdict carries its Certificate: the chain from the queried vector
 to a leaf.  verify_certificate re-fires every step independently of the
-engine, and calls a step of an unregistered rule malformed.
+engine: a rule's step must be among those the rule, read from the live
+registry, returns on its input; a step of an unregistered rule is malformed.
 """
 
 from __future__ import annotations
@@ -89,21 +91,21 @@ class Engine:
             for length in range(2, DOMINATION_LEN_CAP + 1):
                 for dims in itertools.combinations_with_replacement(range(1, n), length):
                     v = DimensionVector(dims, n)
-                    step = self._base_step(v)
-                    if (step is not None and step.direction == BASE_SPARSE
-                            and step.rule_id != TRIVIALLY_SPARSE):
+                    found = self._base_steps(v)
+                    if (found and found[0].rule_id != TRIVIALLY_SPARSE
+                            and found[0].settles is Status.SPARSE):
                         seeds.append(v)
         out = tuple(seeds)
         self._seed_cache[n] = out
         return out
 
-    def _base_step(self, v: DimensionVector) -> Optional[RewriteStep]:
-        """The step of the first base rule that settles v."""
+    def _base_steps(self, v: DimensionVector) -> list[RewriteStep]:
+        """The steps of the first base rule that settles v."""
         for fn in rules.BASE_RULES.values():
-            step = fn(v)
-            if step is not None:
-                return step
-        return None
+            found = fn(v)
+            if found:
+                return found
+        return []
 
     # -- walk ----------------------------------------------------------------
 
@@ -128,49 +130,36 @@ class Engine:
             if not nxt:
                 return Verdict()
             steps += nxt
-            if _leaf_status(nxt[-1]) is not None:
+            if nxt[-1].settles is not None:
                 break
             form = nxt[-1].outputs[0]
-        status = _leaf_status(steps[-1])
+        status = steps[-1].settles
         if status is Status.DENSE and any(s.direction == SPARSE_IF for s in steps):
             return Verdict()
         for rep, start in walked.items():
             self.memo[rep] = Certificate(rep, status, tuple(steps[start:]))
         return Verdict(Certificate(d, status, tuple(steps)))
 
-    def _first_steps(self, rep: DimensionVector) -> tuple[RewriteStep, ...]:
+    def _first_steps(self, rep: DimensionVector) -> list[RewriteStep]:
         """rep's first step, after the complement step a reduction on the
-        complement needs; () when no rule fires."""
-        step = self._base_step(rep)
-        if step is None:
-            step = rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient))
-        if step is not None:
-            return (step,)
+        complement needs; [] when no rule fires."""
+        found = (self._base_steps(rep)
+                 or rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient)))
+        if found:
+            return found[:1]
         for fn in rules.REDUCTION_RULES.values():
             found = fn(rep)
             if found:
-                return (found[0],)
+                return found[:1]
             found = fn(rep.complement())
             if found:
-                return (rules.rule_complement(rep), found[0])
-        return ()
+                return [rules.rule_complement(rep), found[0]]
+        return []
 
 
 # ---------------------------------------------------------------------------
 # certificate verification (independent of engine state)
 # ---------------------------------------------------------------------------
-
-def _leaf_status(step: RewriteStep) -> Optional[Status]:
-    """The verdict a leaf settles (a base-rule hit or a vacuous Iff
-    rewrite); None for a step that is no leaf."""
-    if step.outputs:
-        return None
-    if step.direction == BASE_DENSE or (step.is_vacuous and step.direction == IFF):
-        return Status.DENSE
-    if step.direction == BASE_SPARSE:
-        return Status.SPARSE
-    return None
-
 
 def _refire_matches(step: RewriteStep) -> bool:
     rid = step.rule_id
@@ -181,11 +170,8 @@ def _refire_matches(step: RewriteStep) -> bool:
         side = step.input if p.get("side") == "self" else step.input.complement()
         return (len(step.outputs) == 1 and step.direction == SPARSE_IF
                 and side.ambient == step.outputs[0].ambient and side.dominates(step.outputs[0]))
-    if rid in rules.BASE_RULES:
-        return rules.BASE_RULES[rid](step.input) == step
-    if rid in rules.REDUCTION_RULES:
-        return step in rules.REDUCTION_RULES[rid](step.input)
-    return False
+    fn = rules.BASE_RULES.get(rid) or rules.REDUCTION_RULES.get(rid)
+    return fn is not None and step in fn(step.input)
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -224,7 +210,7 @@ def verify_certificate(cert: Certificate) -> bool:
             raise MalformedCertificateError("broken chain link")
         if prev.direction not in (IFF, SPARSE_IF):
             raise MalformedCertificateError("interior step is not an edge")
-    leaf = _leaf_status(cert.steps[-1])
+    leaf = cert.steps[-1].settles
     if leaf is None:
         raise MalformedCertificateError("chain does not end in a leaf")
 

@@ -78,6 +78,11 @@ from .linalg import bareiss_rank, mod_rank, random_prime, words
 if TYPE_CHECKING:
     import numpy as np
 
+# _stabilizer_system refuses a system of more entries (rows x columns) than
+# this before it builds one: an Unknown at n = 120 has about 5e7 entries and
+# peaked near 1.2 GB, and one near n = 240 would have about 8e8
+MAX_SYSTEM_ENTRIES = 10**8
+
 
 class VerdictClass(Enum):
     CERTIFIED_DENSE = "CertifiedDense"
@@ -239,7 +244,8 @@ def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
     only its kept columns: column j n + l of the Kronecker product is
     Q[:, j] outer U^T[:, l], one broadcast product over the kept (j, l), so
     the (n - d) d x n^2 product is never formed.  The result has one column
-    per kept unknown; without a chart it has no rows."""
+    per kept unknown; without a chart it has no rows.  A system of more than
+    MAX_SYSTEM_ENTRIES entries raises ValueError before any block is built."""
     import numpy as np
     n = c.ambient
     forced = np.zeros((n, n), dtype=bool)
@@ -247,8 +253,13 @@ def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
         if isinstance(s, int):
             forced[:s, s:s + d] = forced[s + d:, s:s + d] = True
     charts = [(d, a) for d, a in zip(c.vector.dims, c.parts) if not isinstance(a, int)]
+    cols = n * n - np.count_nonzero(forced)
     if not charts:
-        return np.zeros((0, n * n - np.count_nonzero(forced)), dtype=np.int64)
+        return np.zeros((0, cols), dtype=np.int64)
+    rows = sum((n - d) * d for d, _ in charts)
+    if rows * cols > MAX_SYSTEM_ENTRIES:
+        raise ValueError(f"{c.vector}: a {rows} x {cols} stabilizer system is past the "
+                         f"oracle's ceiling of {MAX_SYSTEM_ENTRIES} entries")
     ki, kj = divmod(np.flatnonzero(~forced.ravel()), n)
     blocks = []
     for d, a in charts:

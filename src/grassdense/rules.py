@@ -1,8 +1,8 @@
 """Rewrite rules on dimension vectors.
 
-Each rule is a pure function from a DimensionVector to rewrite steps.  A step
-either settles the vector outright (direction BaseDense / BaseSparse) or
-relates it to smaller vectors:
+Each rule is a pure function from a DimensionVector to a list of rewrite
+steps, empty when it does not fire.  A step settles the vector outright
+(BaseDense / BaseSparse) or relates it to smaller vectors:
 
     Iff       input dense  <=>  output dense   (every reduction rule)
     SparseIf  output sparse =>  input sparse   (Domination only)
@@ -13,15 +13,16 @@ REDUCTION_RULES, at the end, are the rule registry: dict order is the
 engine's rule order, every registered rule is called as fn(v), and
 verify_certificate re-fires registered rules only.  The width-2 window check
 of classify_size is not a rule: the oracle refutes some of its verdicts, so
-no certificate can name it.  A reduction returns every step it finds,
-repeats included: the engine walks only the first, and the isolation sweeps
-check them all.
+no certificate can name it.  A base rule returns at most one step, its first
+witness; a reduction returns every step it finds, repeats included: the
+engine walks only the first, and the isolation sweeps check them all.
 
-A rewrite may produce a vector all of whose entries drop during
-normalization ("vacuous": the configuration degenerates to a point, which is
-dense).  Such steps carry empty outputs and params ``vacuous=True``; for an
-Iff rule this settles the input as dense.  The excess collapse at l = 0 is
-always vacuous, so it is how a total of at most n+1 is proved dense.
+A step with no outputs is a leaf, and RewriteStep.settles names the verdict
+it proves: Dense for BaseDense and for Iff, Sparse for BaseSparse.  An Iff
+leaf comes from a rewrite all of whose entries drop during normalization
+(the configuration degenerates to a point, which is dense); its params say
+``vacuous=True`` so a trace shows why it settles.  The excess collapse at
+l = 0 is always vacuous, so it is how a total of at most n+1 is proved dense.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DimensionVector, VacuousVectorError, normalize
+from .core import DimensionVector, Status, VacuousVectorError, normalize
 
 # rule_id wire strings
 L3 = "L3"
@@ -51,6 +52,7 @@ IFF = "Iff"
 SPARSE_IF = "SparseIf"
 BASE_DENSE = "BaseDense"
 BASE_SPARSE = "BaseSparse"
+_LEAF_STATUS = {BASE_DENSE: Status.DENSE, IFF: Status.DENSE, BASE_SPARSE: Status.SPARSE}
 
 # Subset enumeration is exhaustive up to 2**SUBSET_ENUM_CAP sub-multisets
 # (the count for 12 distinct entries); with more, _submultisets yields none
@@ -73,8 +75,9 @@ class RewriteStep:
         return dict(self.params)
 
     @property
-    def is_vacuous(self) -> bool:
-        return not self.outputs and bool(self.params_dict().get("vacuous"))
+    def settles(self) -> Optional[Status]:
+        """The verdict a leaf (a step with no outputs) proves; else None."""
+        return None if self.outputs else _LEAF_STATUS.get(self.direction)
 
 
 def _step(rule_id: str, direction: str, d: DimensionVector,
@@ -119,27 +122,27 @@ def _pair_splits(d: DimensionVector) -> Iterator[tuple[int, int, tuple[int, ...]
 # base rules (settle the vector outright)
 # ---------------------------------------------------------------------------
 
-def rule_trivially_sparse(d: DimensionVector) -> Optional[RewriteStep]:
+def rule_trivially_sparse(d: DimensionVector) -> list[RewriteStep]:
     """The dimension count: a product of Grassmannians of dimension greater
     than dim PGL(n) (expected stabilizer dimension < 0) has no dense orbit."""
     expected = d.expected_stab_dim
     if expected >= 0:
-        return None
-    return _step(TRIVIALLY_SPARSE, BASE_SPARSE, d, (), expected=expected)
+        return []
+    return [_step(TRIVIALLY_SPARSE, BASE_SPARSE, d, (), expected=expected)]
 
 
-def rule_length4(d: DimensionVector) -> Optional[RewriteStep]:
+def rule_length4(d: DimensionVector) -> list[RewriteStep]:
     """Vectors of length <= 4 are classified completely: sparse exactly for
     length 4 with total dimension 2n (the whole-vector case of
     rule_subseq_2n, left to it), dense otherwise.  The reductions derive the
     same verdicts, but not in a bounded number of steps: L8 walks
     (k-1,k^3;2k) down one ambient dimension at a time."""
     if d.length > 4 or (d.length == 4 and d.total == 2 * d.ambient):
-        return None
-    return _step(LENGTH4, BASE_DENSE, d, (), length=d.length, total=d.total)
+        return []
+    return [_step(LENGTH4, BASE_DENSE, d, (), length=d.length, total=d.total)]
 
 
-def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
+def rule_subseq_2n(d: DimensionVector) -> list[RewriteStep]:
     """A sub-multiset of at least 4 entries summing to exactly 2n (in d or
     its complement) forces sparsity: split it into four nonempty parts of
     size <= n-1, merge to a length-4 vector of total 2n, and dominate.  A
@@ -154,13 +157,13 @@ def rule_subseq_2n(d: DimensionVector) -> Optional[RewriteStep]:
             continue
         for sub in _submultisets(v.dims, min_size=4):
             if sum(sub) == target:
-                return _step(SUBSEQ_2N, BASE_SPARSE, d, (), side=side, subset=sub)
-    return None
+                return [_step(SUBSEQ_2N, BASE_SPARSE, d, (), side=side, subset=sub)]
+    return []
 
 
 def rule_domination_sparse(d: DimensionVector,
                            known_sparse: frozenset[DimensionVector] | set[DimensionVector],
-                           ) -> Optional[RewriteStep]:
+                           ) -> list[RewriteStep]:
     """d (or its complement) strictly dominating a known sparse vector makes
     d sparse: the extra subspaces only impose further conditions.  The step
     points at the dominated vector so the certificate chain can continue
@@ -175,8 +178,8 @@ def rule_domination_sparse(d: DimensionVector,
     for side, v in (("self", d), ("complement", d.complement())):
         for w in candidates:
             if w != v and w.ambient == v.ambient and v.dominates(w):
-                return _step(DOMINATION, SPARSE_IF, d, (w,), side=side)
-    return None
+                return [_step(DOMINATION, SPARSE_IF, d, (w,), side=side)]
+    return []
 
 
 # ---------------------------------------------------------------------------

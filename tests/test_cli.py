@@ -68,6 +68,27 @@ class TestDecide:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not isolated_cache.exists()
 
+    def test_huge_exponent_exit3(self, capsys, isolated_cache):
+        # refused before any entry list is built, so no MemoryError
+        code, out, err = run(capsys, "decide", "(1^1000000000000;3)")
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "entries" in err and not isolated_cache.exists()
+
+    def test_oversized_oracle_system_exit3(self, capsys, monkeypatch):
+        # a small engine Unknown, refused once the ceiling is below its
+        # 250 x 255 system, before any chart block is built
+        import numpy as np
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("a chart block was built")
+        monkeypatch.setattr(oracle, "MAX_SYSTEM_ENTRIES", 250 * 255 - 1)
+        monkeypatch.setattr(np, "hstack", no_block)
+        code, out, err = run(capsys, "decide", "(7^2,9,14,20;22)", "--no-cache")
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "250 x 255" in err
+
     @pytest.mark.parametrize("text", ["1;5_0", "1,2;+5", "١,٢;٥"])
     def test_numeral_outside_grammar_exit3(self, capsys, isolated_cache, text):
         code, out, err = run(capsys, "decide", text)
@@ -219,6 +240,19 @@ class TestCache:
         _, out, _ = run(capsys, "decide", "1,2,2;5", "--seed", "1")
         assert "(cached)" not in out
         assert len(isolated_cache.read_text().splitlines()) == 2
+
+    def test_no_home_directory(self, capsys, monkeypatch):
+        # with no HOME and no passwd entry Path.home raises; --no-cache never
+        # asks for it, and the default cache is skipped with one warning
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+        monkeypatch.delenv("GRASSDENSE_CACHE")
+        monkeypatch.setattr(cli.Path, "home", no_home)
+        code, out, err = run(capsys, "decide", "1,2,2;5", "--no-cache")
+        assert (code, err) == (EXIT_DENSE, "") and out.startswith("DENSE")
+        code, out, err = run(capsys, "decide", "1,2,2;5")
+        assert code == EXIT_DENSE and out.startswith("DENSE")
+        assert len(err.splitlines()) == 1 and err.startswith("warning: cache unusable")
 
     def test_no_cache_flag(self, capsys, isolated_cache):
         run(capsys, "decide", "1,2,2;5", "--no-cache")

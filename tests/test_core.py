@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from grassdense import core
 from grassdense.core import (
     AmbientMismatchError, DimensionVector, MalformedVectorError, Status,
     VacuousVectorError, VectorParseError, normalize, parse,
@@ -72,6 +73,13 @@ class TestParseFormat:
     def test_parse_errors(self, text):
         with pytest.raises(VectorParseError):
             parse(text)
+
+    def test_entry_ceiling_counts_exponents(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_ENTRIES", 5)
+        assert parse("(0,1^3,3;3)").dims == (1, 1, 1)  # dropped entries count too
+        for text in ("(1^6;3)", "(1^3,2^3;4)", "1,1,1,1,1,1;3"):
+            with pytest.raises(VectorParseError, match="more than 5 entries"):
+                parse(text)
 
     def test_format_exponential(self):
         assert str(DimensionVector((1, 1, 2, 2, 2), 7)) == "(1^2,2^3;7)"

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import itertools
 import random
 from pathlib import Path
@@ -103,7 +104,7 @@ class TestDecide:
         seed = parse("1,1,5;6")
         eng = Engine()
         eng._seed_cache[6] = (seed,)
-        assert R.rule_domination_sparse(parse("1,1,1,1,5;6"), {seed}) is not None
+        assert R.rule_domination_sparse(parse("1,1,1,1,5;6"), {seed})
         assert eng.decide(parse("1,1,1,1,5;6")).status is Status.UNKNOWN
         for d in enumerate_vectors(6, 6):
             if d.ambient == 6:
@@ -158,7 +159,7 @@ def test_no_dead_ends():
             for rule in R.REDUCTION_RULES.values():
                 for s in rule(side):
                     checked += 1
-                    got = Status.DENSE if s.is_vacuous else eng.decide(s.outputs[0]).status
+                    got = s.settles or eng.decide(s.outputs[0]).status
                     if got is not status:
                         wrong.append(f"{s.rule_id} {side} -> {s.outputs}: {got.value}")
     assert checked == 3046
@@ -244,6 +245,36 @@ class TestVerdictTable:
         for text, want in sample:
             dense = oracle_decide(parse(text), samples=3, seed=1).is_dense
             assert ("Dense" if dense else "Sparse") == want, text
+
+
+def _golden_module(name):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCertificateTable:
+    # the engine's certificate on every canonical, not trivially sparse
+    # vector with n <= 8 and length <= 7; golden/certificates_n8.py writes
+    # the table and formats its lines
+    table = _golden_module("certificates_n8")
+    LINES = (GOLDEN / "certificates_n8.txt").read_text().splitlines(keepends=True)
+
+    def test_table_covers_every_vector(self):
+        vecs = self.table.vectors()
+        assert len(vecs) == len(self.LINES) == 930
+        assert [line.split()[0] for line in self.LINES] == [str(v) for v in vecs]
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["warm", "fresh"])
+    def test_engine_rederives_every_line(self, fresh):
+        warm = Engine()
+        wrong = []
+        for v, want in zip(self.table.vectors(), self.LINES):
+            verdict = (Engine() if fresh else warm).decide(v)
+            if self.table.line(v, verdict) != want or not verify_certificate(verdict.certificate):
+                wrong.append(str(v))
+        assert wrong == []
 
 
 def test_domination_never_fires(monkeypatch):
@@ -355,7 +386,7 @@ class TestVerifyCertificate:
         # re-fire, so the check fails rather than raising AmbientMismatchError
         v, w = parse("(1^7;3)"), parse("(1^9;4)")
         steps = (RewriteStep(R.DOMINATION, R.SPARSE_IF, (("side", "self"),), v, (w,)),
-                 R.rule_trivially_sparse(w))
+                 *R.rule_trivially_sparse(w))
         assert verify_certificate(Certificate(v, Status.SPARSE, steps)) is False
 
     def test_non_string_fields_and_bad_params_malformed(self):
@@ -369,6 +400,20 @@ class TestVerifyCertificate:
                     dataclasses.replace(leaf, direction=[leaf.direction])):
             with pytest.raises(MalformedCertificateError):
                 verify_certificate(Certificate(cert.root, cert.status, cert.steps[:-1] + (bad,)))
+
+    def test_forged_iff_leaf_fails(self):
+        # an Iff leaf settles Dense, so one no rule made must fail to re-fire
+        d = parse("1,1,2,2;3")
+        for params in ((), (("vacuous", True),)):
+            step = RewriteStep(R.L3, R.IFF, params, d, ())
+            assert verify_certificate(Certificate(d, Status.DENSE, (step,))) is False
+
+    def test_refire_reads_live_registry(self, monkeypatch):
+        cert = self._cert("2,2,2;4")
+        assert [s.rule_id for s in cert.steps] == [R.LENGTH4] and verify_certificate(cert)
+        monkeypatch.setattr(R, "BASE_RULES",
+                            {k: f for k, f in R.BASE_RULES.items() if k != R.LENGTH4})
+        assert verify_certificate(cert) is False
 
     def test_rejects_non_certificate(self):
         with pytest.raises(MalformedCertificateError):

@@ -34,10 +34,29 @@ def test_submultisets_match_combinations(d, min_size):
     assert len(got) == len(set(got)) and set(got) == want
 
 
+class TestSettles:
+    def test_leaf_by_direction(self):
+        d = parse("1,2;3")
+        want = {R.BASE_DENSE: Status.DENSE, R.IFF: Status.DENSE,
+                R.BASE_SPARSE: Status.SPARSE, R.SPARSE_IF: None}
+        for direction, status in want.items():
+            assert R.RewriteStep(R.L3, direction, (), d, ()).settles is status
+
+    def test_edge_settles_nothing(self):
+        d = parse("1,1,2;4")
+        for s in R.rule_restrict_to_span(d) + [R.rule_complement(d)]:
+            assert s.outputs and s.settles is None
+
+    def test_base_rules_settle(self):
+        [dense] = R.rule_length4(parse("2,3,3;4"))
+        [sparse] = R.rule_subseq_2n(parse("1,1,2,2;3"))
+        assert (dense.settles, sparse.settles) == (Status.DENSE, Status.SPARSE)
+
+
 class TestTriviallySparse:
     def test_fires_with_expected_dim(self):
         d = parse("1,1,1,1,2;4")
-        s = R.rule_trivially_sparse(d)
+        [s] = R.rule_trivially_sparse(d)
         assert s.direction == R.BASE_SPARSE and not s.outputs
         assert s.params_dict() == {"expected": d.expected_stab_dim} and d.expected_stab_dim < 0
 
@@ -53,55 +72,57 @@ def test_base_rule_registry():
 
 class TestLength4:
     def test_dense_short(self):
-        assert R.rule_length4(parse("2,3,3;4")).direction == R.BASE_DENSE
+        [s] = R.rule_length4(parse("2,3,3;4"))
+        assert s.direction == R.BASE_DENSE
 
     def test_sparse_2n(self):
         # the length-4 total-2n case is SubseqTwoN's whole-vector case
         for text in ("1,1,2,2;3", "6,6,7,7;13"):
             d = parse(text)
-            assert R.rule_length4(d) is None
-            assert R.rule_subseq_2n(d).params_dict() == {"side": "self", "subset": d.dims}
+            assert R.rule_length4(d) == []
+            [s] = R.rule_subseq_2n(d)
+            assert s.params_dict() == {"side": "self", "subset": d.dims}
 
     def test_length4_non_2n_dense(self):
-        assert R.rule_length4(parse("1,1,2,3;4")).direction == R.BASE_DENSE
+        [s] = R.rule_length4(parse("1,1,2,3;4"))
+        assert s.direction == R.BASE_DENSE
 
     def test_no_fire_long(self):
-        assert R.rule_length4(parse("1,1,1,1,1;3")) is None
+        assert R.rule_length4(parse("1,1,1,1,1;3")) == []
 
 
 class TestSubseqTwoN:
     def test_fires_on_self(self):
-        s = R.rule_subseq_2n(parse("1,1,3,3,4;6"))
+        [s] = R.rule_subseq_2n(parse("1,1,3,3,4;6"))
         assert s.direction == R.BASE_SPARSE
         assert sum(s.params_dict()["subset"]) == 12
         assert len(s.params_dict()["subset"]) >= 4
 
     def test_excess_block_witness(self):
-        s = R.rule_subseq_2n(parse("5,5,5,5,13;14"))
+        [s] = R.rule_subseq_2n(parse("5,5,5,5,13;14"))
         assert s.params_dict() == {"side": "self", "subset": (5, 5, 5, 13)}
 
     def test_fires_on_complement(self):
         # (2,3,3,5,5;6) has no 4-subset summing to 12, but its complement
         # (1,1,3,3,4;6) sums to 12 outright
-        s = R.rule_subseq_2n(parse("2,3,3,5,5;6"))
+        [s] = R.rule_subseq_2n(parse("2,3,3,5,5;6"))
         assert s.params_dict()["side"] == "complement"
         assert sum(s.params_dict()["subset"]) == 12
 
     def test_three_entry_subsets_excluded(self):
         # (2,3,3;4) sums to 2n over 3 entries but is dense
-        assert R.rule_subseq_2n(parse("2,3,3;4")) is None
-        assert R.rule_subseq_2n(parse("1,1,2,3,4;6")) is None
+        assert R.rule_subseq_2n(parse("2,3,3;4")) == []
+        assert R.rule_subseq_2n(parse("1,1,2,3,4;6")) == []
 
     def test_cap(self, monkeypatch):
-        assert R.rule_subseq_2n(OVER_CAP) is None
+        assert R.rule_subseq_2n(OVER_CAP) == []
         monkeypatch.setattr(R, "SUBSET_ENUM_CAP", 13)
-        assert R.rule_subseq_2n(OVER_CAP) is not None
+        assert R.rule_subseq_2n(OVER_CAP)
 
     @given(vectors())
     @settings(max_examples=60, deadline=None)
     def test_witness_is_valid(self, d):
-        s = R.rule_subseq_2n(d)
-        if s is not None:
+        for s in R.rule_subseq_2n(d):
             p = s.params_dict()
             side = d if p["side"] == "self" else d.complement()
             assert sum(p["subset"]) == 2 * d.ambient and len(p["subset"]) >= 4
@@ -111,25 +132,25 @@ class TestSubseqTwoN:
 
 class TestDomination:
     def test_strict(self):
-        s = R.rule_domination_sparse(parse("1,1,1,4,4;5"), {parse("1,1,4,4;5")})
+        [s] = R.rule_domination_sparse(parse("1,1,1,4,4;5"), {parse("1,1,4,4;5")})
         assert s.direction == R.SPARSE_IF
         assert s.outputs == (parse("1,1,4,4;5"),)
         assert s.params_dict() == {"side": "self"}
 
     def test_self_match(self):
         # a vector is no strict sub-multiset of itself or of its complement
-        assert R.rule_domination_sparse(parse("1,1,2,2;3"), {parse("1,1,2,2;3")}) is None
-        assert R.rule_domination_sparse(parse("1,1,3;4"), {parse("1,3,3;4")}) is None
+        assert R.rule_domination_sparse(parse("1,1,2,2;3"), {parse("1,1,2,2;3")}) == []
+        assert R.rule_domination_sparse(parse("1,1,3;4"), {parse("1,3,3;4")}) == []
 
     def test_complement_side(self):
         # (1,3^4;5) has no entry 2; its complement (2^4,4;5) dominates the
         # length-4 sparse vector (2^3,4;5)
-        s = R.rule_domination_sparse(parse("1,3,3,3,3;5"), {parse("2,2,2,4;5")})
+        [s] = R.rule_domination_sparse(parse("1,3,3,3,3;5"), {parse("2,2,2,4;5")})
         assert s.params_dict() == {"side": "complement"}
         assert s.outputs == (parse("2,2,2,4;5"),)
 
     def test_no_match(self):
-        assert R.rule_domination_sparse(parse("1,2;5"), {parse("1,1,4,4;5")}) is None
+        assert R.rule_domination_sparse(parse("1,2;5"), {parse("1,1,4,4;5")}) == []
 
 
 class TestRestrictSpan:  # L3
@@ -140,7 +161,7 @@ class TestRestrictSpan:  # L3
 
     def test_vacuous_both_splits(self):
         steps = R.rule_restrict_to_span(parse("1,2;3"))
-        assert steps and all(s.is_vacuous for s in steps)
+        assert steps and all(not s.outputs for s in steps)
 
     def test_params_frozen(self):
         steps = R.rule_restrict_to_span(parse("1,1,2;4"))
@@ -204,13 +225,13 @@ class TestExcessCollapse:  # ExcessL1
     def test_drops_all_large_entries_vacuously(self):
         # (2,3;4): excess 1 -> l = 0, an empty profile
         [s] = R.rule_excess(parse("2,3;4"))
-        assert s.is_vacuous and s.params_dict() == {"ambient": 1, "l": 0, "vacuous": True}
+        assert not s.outputs and s.params_dict() == {"ambient": 1, "l": 0, "vacuous": True}
 
     @pytest.mark.parametrize("text", ["1,1,2;4", "1;5", "1,1,1,1,1;5"])
     def test_total_at_most_n_plus_1_is_vacuous(self, text):
         # excess <= 1: the l = 0 step, whatever the excess below 1
         [s] = R.rule_excess(parse(text))
-        assert s.is_vacuous and s.params_dict()["l"] == 0
+        assert not s.outputs and s.params_dict()["l"] == 0
 
 
 class TestIffRulesSoundness:
@@ -224,7 +245,9 @@ class TestIffRulesSoundness:
         for rule in R.REDUCTION_RULES.values():
             for s in rule(d):
                 assert s.input == d and s.direction == R.IFF, (s.rule_id, str(d))
-                if s.is_vacuous:
+                if not s.outputs:
+                    # the wire format keeps why an Iff leaf settles
+                    assert s.params_dict()["vacuous"] is True
                     assert _dense(d), f"vacuous {s.rule_id} on non-dense {d}"
                 else:
                     assert _dense(d) == _dense(s.outputs[0]), (s.rule_id, str(d))
@@ -251,9 +274,9 @@ def test_base_rule_agrees_with_oracle_in_isolation(rule_id):
     # behind a right one
     wrong = []
     for d in enumerate_vectors(8, 9):
-        s = R.BASE_RULES[rule_id](d)
-        if s is not None and (s.direction == R.BASE_DENSE) != _sweep_dense(d):
-            wrong.append(f"{d}: {s.direction}")
+        for s in R.BASE_RULES[rule_id](d):
+            if (s.direction == R.BASE_DENSE) != _sweep_dense(d):
+                wrong.append(f"{d}: {s.direction}")
     assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:3]}"
 
 
@@ -264,7 +287,7 @@ def test_reduction_rule_agrees_with_oracle_in_isolation():
     for d in enumerate_vectors(8, 9):
         for rule in R.REDUCTION_RULES.values():
             for s in rule(d):
-                if s.is_vacuous:
+                if not s.outputs:
                     ok = _sweep_dense(d)
                 else:
                     ok = _sweep_dense(d) == _sweep_dense(s.outputs[0])
@@ -283,7 +306,7 @@ def test_reduction_rule_preserves_moduli_in_isolation():
             continue
         for rule in R.REDUCTION_RULES.values():
             for s in rule(d):
-                if s.is_vacuous or s.outputs[0].is_trivially_sparse:
+                if not s.outputs or s.outputs[0].is_trivially_sparse:
                     continue
                 checked += 1
                 a, b = _sweep_report(d), _sweep_report(s.outputs[0])
