@@ -1,15 +1,17 @@
 """Decision engine: decide density by walking one chain of rewrite rules.
 
-At each canonical form (lex-smaller of a vector and its complement) that is
-not in the memo, the walk takes the first step that applies: the first base
-rule that fires, the dimension count first (a leaf); else domination; else
-the first step of the first reduction in registry order, on the form before
-its complement.  The walk stops at a leaf, and the verdict is what that
-step settles (RewriteStep.settles).  No second step is ever tried: a form
-met twice in one call, or one where no rule fires, answers Unknown.
-Engine.memo keeps each form walked with its suffix of the chain for the
-lifetime of the Engine, which its caller holds; Unknown is never memoized.
-last_nodes counts the forms the latest call walked.
+At each canonical form (lex-smaller of a vector and its complement) the
+walk takes the first step that applies: the first base rule that fires, the
+dimension count first (a leaf); else domination; else the first step of the
+first reduction in registry order, on the form before its complement.  The
+walk stops at a leaf, and the verdict is what that step settles
+(RewriteStep.settles).  No second step is ever tried: a form met twice in
+one call, or one where no rule fires, answers Unknown.  Engine.memo keeps
+each form's first steps (one, or a Complement step and the reduction on the
+complement) for the lifetime of the Engine, which its caller holds, so a
+later walk through that form takes them without firing a rule; it holds
+steps, never a verdict, and nothing for a form where no rule fires.
+last_nodes counts the forms whose steps the latest call computed.
 
 Every reduction is Iff.  Domination, the one SparseIf step, always points at
 a seed, which its own base step proves sparse other than by the dimension
@@ -71,10 +73,10 @@ DOMINATION_LEN_CAP = 6
 
 
 class Engine:
-    """The walk, with a memo of certificates by canonical form."""
+    """The walk, with a memo of first steps by canonical form."""
 
     def __init__(self):
-        self.memo: dict[DimensionVector, Certificate] = {}
+        self.memo: dict[DimensionVector, tuple[RewriteStep, ...]] = {}
         self._seed_cache: dict[int, tuple[DimensionVector, ...]] = {}
         self.last_nodes = 0
 
@@ -112,23 +114,22 @@ class Engine:
     def decide(self, d: DimensionVector) -> Verdict:
         self.last_nodes = 0
         steps: list[RewriteStep] = []
-        walked: dict[DimensionVector, int] = {}  # form -> where its suffix starts
+        walked: set[DimensionVector] = set()
         form = d
         while True:
             rep = form.canonical()
             if rep != form:
                 steps.append(rules.rule_complement(form))
-            cert = self.memo.get(rep)
-            if cert is not None:
-                steps += cert.steps
-                break
             if rep in walked:
                 return Verdict()
-            walked[rep] = len(steps)
-            self.last_nodes += 1
-            nxt = self._first_steps(rep)
-            if not nxt:
-                return Verdict()
+            walked.add(rep)
+            nxt = self.memo.get(rep)
+            if nxt is None:
+                self.last_nodes += 1
+                nxt = self._first_steps(rep)
+                if not nxt:
+                    return Verdict()
+                self.memo[rep] = nxt
             steps += nxt
             if nxt[-1].settles is not None:
                 break
@@ -136,25 +137,23 @@ class Engine:
         status = steps[-1].settles
         if status is Status.DENSE and any(s.direction == SPARSE_IF for s in steps):
             return Verdict()
-        for rep, start in walked.items():
-            self.memo[rep] = Certificate(rep, status, tuple(steps[start:]))
         return Verdict(Certificate(d, status, tuple(steps)))
 
-    def _first_steps(self, rep: DimensionVector) -> list[RewriteStep]:
+    def _first_steps(self, rep: DimensionVector) -> tuple[RewriteStep, ...]:
         """rep's first step, after the complement step a reduction on the
-        complement needs; [] when no rule fires."""
+        complement needs; () when no rule fires."""
         found = (self._base_steps(rep)
                  or rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient)))
         if found:
-            return found[:1]
+            return (found[0],)
         for fn in rules.REDUCTION_RULES.values():
             found = fn(rep)
             if found:
-                return found[:1]
+                return (found[0],)
             found = fn(rep.complement())
             if found:
-                return [rules.rule_complement(rep), found[0]]
-        return []
+                return (rules.rule_complement(rep), found[0])
+        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +165,7 @@ def _refire_matches(step: RewriteStep) -> bool:
     if rid == COMPLEMENT:
         return step == rules.rule_complement(step.input)
     if rid == DOMINATION:
-        p = step.params_dict()
-        side = step.input if p.get("side") == "self" else step.input.complement()
-        return (len(step.outputs) == 1 and step.direction == SPARSE_IF
-                and side.ambient == step.outputs[0].ambient and side.dominates(step.outputs[0]))
+        return step in rules.rule_domination_sparse(step.input, set(step.outputs))
     fn = rules.BASE_RULES.get(rid) or rules.REDUCTION_RULES.get(rid)
     return fn is not None and step in fn(step.input)
 

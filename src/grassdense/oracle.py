@@ -78,9 +78,9 @@ from .linalg import bareiss_rank, mod_rank, random_prime, words
 if TYPE_CHECKING:
     import numpy as np
 
-# _stabilizer_system refuses a system of more entries (rows x columns) than
-# this before it builds one: an Unknown at n = 120 has about 5e7 entries and
-# peaked near 1.2 GB, and one near n = 240 would have about 8e8
+# the oracle refuses a system of more entries (rows x columns) than this
+# before it draws a chart or builds a block: an Unknown at n = 120 has about
+# 5e7 entries and peaked near 1.2 GB, and one near n = 240 would have about 8e8
 MAX_SYSTEM_ENTRIES = 10**8
 
 
@@ -203,6 +203,13 @@ def _slice(d: DimensionVector) -> dict[int, int]:
     return start
 
 
+def _check_system_size(d: DimensionVector, rows: int, cols: int) -> None:
+    """ValueError when d's rows x cols stabilizer system is past MAX_SYSTEM_ENTRIES."""
+    if rows * cols > MAX_SYSTEM_ENTRIES:
+        raise ValueError(f"{d}: a {rows} x {cols} stabilizer system is past the "
+                         f"oracle's ceiling of {MAX_SYSTEM_ENTRIES} entries")
+
+
 def _stream_key(name: str, value) -> int:
     """value as a key of words: an int in [0, 2^64), not a bool; else ValueError."""
     import numpy as np
@@ -220,10 +227,16 @@ def sample_configuration(d: DimensionVector, prime: Optional[int] = None, seed: 
     F_prime, w % 10001 - 5000 over Q (prime None; a nonzero r x r minor, of
     degree <= 2r, vanishes with probability <= 2r / 10001), each biased by
     less than modulus / 2^64.  Without a chart point nothing is drawn, but a
-    bad seed or sample still raises ValueError, as in oracle_decide."""
+    bad seed or sample still raises ValueError, as in oracle_decide, and so
+    does a system past MAX_SYSTEM_ENTRIES, before any chart is drawn."""
     import numpy as np
     seed, sample = _stream_key("seed", seed), _stream_key("sample", sample)
     n, start = d.ambient, _slice(d)
+    # the slice's blocks are disjoint, so each fixed entry drops d_i (n - d_i)
+    # unknowns, and each other entry adds as many rows
+    load = [di * (n - di) for di in d.dims]
+    fixed = sum(load[i] for i in start)
+    _check_system_size(d, sum(load) - fixed, n * n - fixed)
     m, shift = (10001, 5000) if prime is None else (int(prime), 0)  # a numpy int would overflow
 
     def chart(i: int, d_i: int) -> np.ndarray:
@@ -256,10 +269,7 @@ def _stabilizer_system(c: GenericConfiguration) -> np.ndarray:
     cols = n * n - np.count_nonzero(forced)
     if not charts:
         return np.zeros((0, cols), dtype=np.int64)
-    rows = sum((n - d) * d for d, _ in charts)
-    if rows * cols > MAX_SYSTEM_ENTRIES:
-        raise ValueError(f"{c.vector}: a {rows} x {cols} stabilizer system is past the "
-                         f"oracle's ceiling of {MAX_SYSTEM_ENTRIES} entries")
+    _check_system_size(c.vector, sum((n - d) * d for d, _ in charts), cols)
     ki, kj = divmod(np.flatnonzero(~forced.ravel()), n)
     blocks = []
     for d, a in charts:

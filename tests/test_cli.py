@@ -77,13 +77,19 @@ class TestDecide:
 
     def test_oversized_oracle_system_exit3(self, capsys, monkeypatch):
         # a small engine Unknown, refused once the ceiling is below its
-        # 250 x 255 system, before any chart block is built
+        # 250 x 255 system, before any chart is drawn or block built
         import numpy as np
 
         def no_block(*args, **kwargs):
             raise AssertionError("a chart block was built")
+
+        def no_chart(*key):
+            assert len(key) != 3, "a chart word was drawn"
+            return words(*key)
+        words = oracle.words
         monkeypatch.setattr(oracle, "MAX_SYSTEM_ENTRIES", 250 * 255 - 1)
         monkeypatch.setattr(np, "hstack", no_block)
+        monkeypatch.setattr(oracle, "words", no_chart)
         code, out, err = run(capsys, "decide", "(7^2,9,14,20;22)", "--no-cache")
         assert code == EXIT_USAGE and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")

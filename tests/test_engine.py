@@ -87,7 +87,7 @@ class TestDecide:
         eng = Engine()
         monkeypatch.setattr(R, "REDUCTION_RULES", {})
         assert eng.decide(parse("1,1,1,1,5;6")).status is Status.UNKNOWN
-        # Unknown is not memoized: the next call on the engine walks again
+        # a form where no rule fires stores no steps: the next call walks again
         monkeypatch.undo()
         assert eng.decide(parse("1,1,1,1,5;6")).status is Status.DENSE
 
@@ -95,8 +95,11 @@ class TestDecide:
         # a reduction that leads back to the form it started from
         monkeypatch.setattr(R, "REDUCTION_RULES", {R.L3: lambda v: [R.rule_complement(v)]})
         eng = Engine()
-        assert eng.decide(parse("1,1,1,1,5;6")).status is Status.UNKNOWN
-        assert eng.memo == {}
+        d = parse("1,1,1,1,5;6")
+        assert eng.decide(d).status is Status.UNKNOWN
+        # the memo keeps the step that fired, and a walk through it meets the cycle again
+        assert eng.memo == {d: (R.rule_complement(d),)}
+        assert eng.decide(d).status is Status.UNKNOWN
 
     def test_domination_of_dense_seed_never_certifies_dense(self):
         # a fake seed that is dense: whatever the walk answers, it never emits
@@ -324,8 +327,16 @@ def test_short_classification_derived_without_length4(monkeypatch):
     # (k-1,k^3;2k) down one ambient at a time, so Length4 stays
     for k in (10, 50):
         eng = Engine()
-        assert eng.decide(DimensionVector((k - 1, k, k, k), 2 * k)).status is Status.DENSE
+        d = DimensionVector((k - 1, k, k, k), 2 * k)
+        first = eng.decide(d)
+        assert first.status is Status.DENSE
         assert eng.last_nodes == 2 * k - 1
+    # at k = 50 the memo keeps each walked form's first steps, and a warm walk takes them all
+    assert len(eng.memo) == 2 * k - 1
+    for form, steps in eng.memo.items():
+        assert isinstance(steps, tuple) and 1 <= len(steps) <= 2
+        assert all(isinstance(s, RewriteStep) for s in steps) and steps[0].input == form
+    assert eng.decide(d).certificate == first.certificate and eng.last_nodes == 0
 
 
 def test_length4_settles_long_chain_in_one_step():
@@ -400,6 +411,15 @@ class TestVerifyCertificate:
                     dataclasses.replace(leaf, direction=[leaf.direction])):
             with pytest.raises(MalformedCertificateError):
                 verify_certificate(Certificate(cert.root, cert.status, cert.steps[:-1] + (bad,)))
+
+    def test_domination_step_refires_through_its_rule(self):
+        # a step that dominates its output but that rule_domination_sparse
+        # does not emit, here with an extra param, fails
+        v, w = parse("(1^3,4^2;5)"), parse("(1^2,4^2;5)")
+        steps = (*R.rule_domination_sparse(v, {w}), *R.rule_subseq_2n(w))
+        assert verify_certificate(Certificate(v, Status.SPARSE, steps))
+        junk = dataclasses.replace(steps[0], params=steps[0].params + (("junk", 7),))
+        assert verify_certificate(Certificate(v, Status.SPARSE, (junk, steps[1]))) is False
 
     def test_forged_iff_leaf_fails(self):
         # an Iff leaf settles Dense, so one no rule made must fail to re-fire
