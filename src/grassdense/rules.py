@@ -199,18 +199,29 @@ def rule_restrict_to_span(d: DimensionVector) -> list[RewriteStep]:
     """Restrict to the span of a subfamily.  Split the entries into A and B
     with sum(A) = n - k < n and sum(n - b for b in B) <= n - k; inside the
     span of the A-subspaces (generically of dimension n - k) the B-subspaces
-    cut out subspaces of dimension b - k.  Density transfers both ways."""
-    n = d.ambient
+    cut out subspaces of dimension b - k.  Density transfers both ways.
+
+    Closed form: sum(n - b for b in B) = n|B| - (total - sum(A)), so the
+    condition on B is n|B| <= total, i.e. |B| <= total // n.  It depends on
+    |A| alone: A needs at least least = length - total // n entries
+    (least >= 1, as total < n * length).  Every such A sums to at least the
+    least smallest entries.  So when those already sum to n or more, no A
+    has sum(A) < n, the rule cannot fire, and returning [] before the
+    sub-multisets are enumerated gives exactly the empty list the
+    enumeration would."""
+    n, length, total = d.ambient, d.length, d.total
+    least = length - total // n
+    if sum(d.dims[:least]) >= n:
+        return []
     steps = []
     for sub in _submultisets(d.dims):
+        if not least <= len(sub) < length:  # B too large, or B empty
+            continue
         sa = sum(sub)
-        if sa >= n or len(sub) == d.length:  # too big, or nothing left for B
+        if sa >= n:
             continue
-        rest = _remove(d.dims, sub)
         k = n - sa
-        if sum(n - b for b in rest) > sa:
-            continue
-        entries = list(sub) + [b - k for b in rest]
+        entries = list(sub) + [b - k for b in _remove(d.dims, sub)]
         steps.append(_iff_step(L3, d, entries, sa, kept=sub, k=k))
     return steps
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +173,40 @@ class TestRestrictSpan:  # L3
         assert R.rule_restrict_to_span(OVER_CAP) == []
         monkeypatch.setattr(R, "SUBSET_ENUM_CAP", 13)
         assert R.rule_restrict_to_span(OVER_CAP)
+
+    @staticmethod
+    def _by_definition(d):
+        """The docstring's split taken literally: B is what A leaves, and
+        sum(n - b for b in B) <= sum(A) is checked term by term."""
+        n, steps = d.ambient, []
+        for sub in R._submultisets(d.dims):
+            sa = sum(sub)
+            rest = R._remove(d.dims, sub) if sa < n else ()
+            if rest and sum(n - b for b in rest) <= sa:
+                k = n - sa
+                steps.append(R._iff_step(R.L3, d, list(sub) + [b - k for b in rest], sa,
+                                         kept=sub, k=k))
+        return steps
+
+    def test_closed_form_matches_definition(self):
+        rng = random.Random(33)
+        vecs = list(enumerate_vectors(8, 9))
+        for _ in range(3000):
+            n = rng.randint(9, 60)
+            vecs.append(DimensionVector(
+                tuple(rng.randint(1, n - 1) for _ in range(rng.randint(2, 9))), n))
+        for d in vecs:
+            assert R.rule_restrict_to_span(d) == self._by_definition(d), d
+
+    def test_early_exit_enumerates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("sub-multisets enumerated")
+
+        monkeypatch.setattr(R, "_submultisets", refuse)
+        # least = 6 - 43 // 25 = 5 entries, and 1+2+6+8+10 = 27 >= 25
+        assert R.rule_restrict_to_span(parse("(1,2,6,8,10,16;25)")) == []
+        with pytest.raises(RuntimeError, match="enumerated"):
+            R.rule_restrict_to_span(parse("(1,1,2;4)"))  # A = (1,2) qualifies
 
 
 class TestComplementaryPair:  # L8
