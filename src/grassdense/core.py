@@ -53,14 +53,19 @@ class DimensionVector:
     ambient: int
 
     def __post_init__(self) -> None:
-        dims = tuple(sorted(self.dims))
         n = self.ambient
         if type(n) is not int or n < 2:
             raise MalformedVectorError(f"ambient dimension must be an integer >= 2, got {n!r}")
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise MalformedVectorError(f"entries must be an iterable, got {self.dims!r}") from None
         if not dims:
             raise MalformedVectorError("dimension vector needs at least one entry")
+        # types before sorting, which would raise TypeError on mixed entries
         if any(type(d) is not int for d in dims):
             raise MalformedVectorError(f"entries must be integers, got {dims!r}")
+        dims = tuple(sorted(dims))
         if dims[0] < 1 or dims[-1] > n - 1:
             raise MalformedVectorError(f"entries of {dims} must lie in [1, {n - 1}]")
         object.__setattr__(self, "dims", dims)

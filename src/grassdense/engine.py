@@ -146,11 +146,12 @@ class Engine:
                  or rules.rule_domination_sparse(rep, self._domination_seeds(rep.ambient)))
         if found:
             return (found[0],)
+        comp = rep.complement()
         for fn in rules.REDUCTION_RULES.values():
             found = fn(rep)
             if found:
                 return (found[0],)
-            found = fn(rep.complement())
+            found = fn(comp)
             if found:
                 return (rules.rule_complement(rep), found[0])
         return ()

@@ -16,6 +16,9 @@ of classify_size is not a rule: the oracle refutes some of its verdicts, so
 no certificate can name it.  A base rule returns at most one step, its first
 witness; a reduction returns every step it finds, repeats included: the
 engine walks only the first, and the isolation sweeps check them all.
+The subset rules enumerate sub-multisets only up to SUBSET_ENUM_CAP;
+within it, SubseqTwoN first asks a sum bitset whether a witness exists, and
+scans for the first one only if so.
 
 A step with no outputs is a leaf, and RewriteStep.settles names the verdict
 it proves: Dense for BaseDense and for Iff, Sparse for BaseSparse.  An Iff
@@ -85,12 +88,19 @@ def _step(rule_id: str, direction: str, d: DimensionVector,
     return RewriteStep(rule_id, direction, tuple(sorted(params.items())), d, outputs)
 
 
+def _over_cap(dims: tuple[int, ...]) -> bool:
+    """Whether dims has more than 2**SUBSET_ENUM_CAP sub-multisets, that is
+    prod(m + 1) over its multiplicities m; at most 2**len(dims) of them."""
+    return (len(dims) > SUBSET_ENUM_CAP
+            and math.prod(m + 1 for m in Counter(dims).values()) > 2**SUBSET_ENUM_CAP)
+
+
 def _submultisets(dims: tuple[int, ...], min_size: int = 1) -> Iterator[tuple[int, ...]]:
     """All distinct sub-multisets with at least min_size entries, as sorted
     tuples, in a deterministic order (not by size); none past the cap."""
-    counts = sorted(Counter(dims).items())
-    if math.prod(m + 1 for _, m in counts) > 2**SUBSET_ENUM_CAP:
+    if _over_cap(dims):
         return
+    counts = sorted(Counter(dims).items())
     blocks = [[(v,) * t for t in range(m + 1)] for v, m in counts]
     for parts in itertools.product(*blocks):
         sub = sum(parts, ())
@@ -142,6 +152,23 @@ def rule_length4(d: DimensionVector) -> list[RewriteStep]:
     return [_step(LENGTH4, BASE_DENSE, d, (), length=d.length, total=d.total)]
 
 
+def _sums_to_with_four(dims: tuple[int, ...], target: int) -> bool:
+    """Whether some sub-multiset of at least 4 entries sums to target.
+
+    A sum bitset per entry count: bit s of r_k is set iff k of the entries
+    seen so far sum to s, where r_4 stands for "4 or more".  Each entry a
+    shifts every r_{k-1} into r_k (r_4 also into itself), highest k first so
+    an entry is used once; bits above target are dropped."""
+    mask = (2 << target) - 1
+    r1 = r2 = r3 = r4 = 0
+    for a in dims:
+        r4 = (r4 | ((r4 | r3) << a)) & mask
+        r3 = (r3 | (r2 << a)) & mask
+        r2 = (r2 | (r1 << a)) & mask
+        r1 |= 1 << a  # its stray bits above target are masked out of r2
+    return bool(r4 >> target & 1)
+
+
 def rule_subseq_2n(d: DimensionVector) -> list[RewriteStep]:
     """A sub-multiset of at least 4 entries summing to exactly 2n (in d or
     its complement) forces sparsity: split it into four nonempty parts of
@@ -150,12 +177,20 @@ def rule_subseq_2n(d: DimensionVector) -> list[RewriteStep]:
 
     Three-entry subsets are NOT sufficient ((2,3,3;4) sums to 2n yet is
     dense), hence the >= 4 guard.
+
+    A side past the cap is skipped, as the scan would yield nothing.  Within
+    it, _sums_to_with_four says first whether a witness exists, so a side
+    without one is not scanned.  Its ints have 2n+1 bits, so it runs only
+    while 2n <= 2**SUBSET_ENUM_CAP; past that the side is scanned outright,
+    over at most 2**SUBSET_ENUM_CAP sub-multisets, whatever n is.
     """
     target = 2 * d.ambient
-    for side, v in (("self", d), ("complement", d.complement())):
-        if v.total < target:
+    for side, dims in (("self", d.dims), ("complement", d.complement().dims)):
+        if sum(dims) < target or _over_cap(dims):
             continue
-        for sub in _submultisets(v.dims, min_size=4):
+        if target <= 2**SUBSET_ENUM_CAP and not _sums_to_with_four(dims, target):
+            continue
+        for sub in _submultisets(dims, min_size=4):
             if sum(sub) == target:
                 return [_step(SUBSEQ_2N, BASE_SPARSE, d, (), side=side, subset=sub)]
     return []
@@ -173,7 +208,22 @@ def rule_domination_sparse(d: DimensionVector,
     canonical form only after its base rules left it unsettled, and each
     base rule fires on v iff it fires on v^c (the dimension count, the
     length-4 total-2n test and SubseqTwoN's two-sided scan are all invariant
-    under complement), so neither the form nor its complement is a seed."""
+    under complement), so neither the form nor its complement is a seed.
+
+    In the engine the rule never fires.  A seed w (ambient n <= 12, the
+    engine's DOMINATION_AMBIENT_CAP) is proved sparse by SubseqTwoN, since
+    Length4 proves only density and the dimension count is excluded: some S
+    of at least 4 entries summing to 2n lies in w or in w^c.  If d or d^c
+    dominates w, then S lies in d or in d^c, since v dominating w means v^c
+    dominates w^c.  The engine asks here only after the dimension count and
+    SubseqTwoN left d unsettled, so d passes the dimension count, and
+    SubseqTwoN's scan missed S only if d has more than
+    2**SUBSET_ENUM_CAP = 4096 sub-multisets (d^c has as many).  Their number
+    is prod(m_a + 1) over d's entry multiplicities m_a.  Maximised subject to
+    sum m_a a(n - a) <= n^2 - 1, it is at most 144 for n <= 12
+    ((1^3,2^2,3,10,11^2;12) attains it), so the scan is exhaustive and
+    SubseqTwoN settles d first.  test_domination_never_fires computes that
+    bound."""
     candidates = sorted(known_sparse, key=lambda v: (v.length, v.total, v.dims))
     for side, v in (("self", d), ("complement", d.complement())):
         for w in candidates:

@@ -75,6 +75,12 @@ class TestDecide:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "entries" in err and not isolated_cache.exists()
 
+    def test_huge_ambient_few_entries_sparse(self, capsys):
+        # SubseqTwoN's witness (1,1,n-1,n-1) is found without a sum bitset
+        # of 2n+1 bits, so no MemoryError
+        code, out, _ = run(capsys, "decide", "(1^3,999999999999^2;1000000000000)")
+        assert code == EXIT_SPARSE and out.startswith("SPARSE")
+
     def test_oversized_oracle_system_exit3(self, capsys, monkeypatch):
         # a small engine Unknown, refused once the ceiling is below its
         # 250 x 255 system, before any chart is drawn or block built

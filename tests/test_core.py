@@ -54,6 +54,12 @@ class TestConstruction:
             with pytest.raises(MalformedVectorError):
                 normalize(raw, n)
 
+    def test_rejects_unsortable_entries(self):
+        # types are checked before sorting, which would raise TypeError
+        for dims in [(1, "a"), (1, None), None]:
+            with pytest.raises(MalformedVectorError):
+                DimensionVector(dims, 5)
+
 
 class TestParseFormat:
     @pytest.mark.parametrize("text,dims,n", [

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdense.core import DimensionVector, Status, parse
-from grassdense.engine import Certificate, Engine, MalformedCertificateError, verify_certificate
+from grassdense.engine import (
+    DOMINATION_AMBIENT_CAP, Certificate, Engine, MalformedCertificateError, verify_certificate,
+)
 from grassdense.families import classify_size, enumerate_vectors
 from grassdense.oracle import VerdictClass, oracle_decide
 from grassdense import rules as R
@@ -280,12 +282,34 @@ class TestCertificateTable:
         assert wrong == []
 
 
+def _max_submultisets(n):
+    """The most sub-multisets, prod(m_a + 1), of a vector in ambient n that
+    passes the dimension count sum m_a a(n - a) <= n^2 - 1: a knapsack over
+    multiplicities, best product per total cost."""
+    best = {0: 1}
+    for a in range(1, n):
+        cost, grown = a * (n - a), {}
+        for spent, prod in best.items():
+            for m in range((n * n - 1 - spent) // cost + 1):
+                key = spent + m * cost
+                grown[key] = max(grown.get(key, 0), prod * (m + 1))
+        best = grown
+    return max(best.values())
+
+
 def test_domination_never_fires(monkeypatch):
     # The only sparse seeds beyond the dimension count come from SubseqTwoN,
     # and a subset of a seed (or of its complement) is a subset of every
     # vector dominating it (or of that vector's complement), so SubseqTwoN
     # settles such a vector before domination is tried: in decide and in
-    # classify_size, whose engine is the same.
+    # classify_size, whose engine is the same.  SubseqTwoN's scan finds that
+    # subset, as no vector with a seed store passes the dimension count with
+    # more sub-multisets than the cap allows (the proof is in
+    # rule_domination_sparse's docstring).
+    bounds = [_max_submultisets(n) for n in range(2, DOMINATION_AMBIENT_CAP + 1)]
+    assert max(bounds) == 144 <= 2**R.SUBSET_ENUM_CAP
+    # past n = 28 the cap can hide a witness (no store is built there)
+    assert (_max_submultisets(28), _max_submultisets(29)) == (3600, 4320)
     steps = []
     real = R.rule_domination_sparse
 

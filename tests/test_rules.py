@@ -120,6 +120,18 @@ class TestSubseqTwoN:
         monkeypatch.setattr(R, "SUBSET_ENUM_CAP", 13)
         assert R.rule_subseq_2n(OVER_CAP)
 
+    def test_bitset_not_run_past_cap_or_on_huge_ambient(self, monkeypatch):
+        # past the cap the scan yields nothing, and at 2n > 2**SUBSET_ENUM_CAP
+        # the bitset's ints would grow with n: the side is scanned outright
+        def no_bitset(dims, target):
+            raise AssertionError("the sum bitset ran")
+        monkeypatch.setattr(R, "_sums_to_with_four", no_bitset)
+        assert R.rule_subseq_2n(OVER_CAP) == []
+        n = 10**12
+        [s] = R.rule_subseq_2n(parse(f"(1^3,{n - 1}^2;{n})"))
+        assert s.params_dict() == {"side": "self", "subset": (1, 1, n - 1, n - 1)}
+        assert R.rule_subseq_2n(parse("(1,1,2,3,4095;4096)")) == []
+
     @given(vectors())
     @settings(max_examples=60, deadline=None)
     def test_witness_is_valid(self, d):
@@ -129,6 +141,51 @@ class TestSubseqTwoN:
             assert sum(p["subset"]) == 2 * d.ambient and len(p["subset"]) >= 4
             from collections import Counter
             assert not Counter(p["subset"]) - Counter(side.dims)
+
+    @staticmethod
+    def _scan_both_sides(d):
+        """The rule before its sum bitset: scan each side that reaches 2n."""
+        target = 2 * d.ambient
+        for side, v in (("self", d), ("complement", d.complement())):
+            if v.total < target:
+                continue
+            for sub in R._submultisets(v.dims, min_size=4):
+                if sum(sub) == target:
+                    return [R._step(R.SUBSEQ_2N, R.BASE_SPARSE, d, (), side=side, subset=sub)]
+        return []
+
+    @staticmethod
+    def _sweep(seed, count, max_len):
+        rng = random.Random(seed)
+        vecs = list(enumerate_vectors(8, 9))
+        for _ in range(count):
+            n = rng.randint(9, 60)
+            vecs.append(DimensionVector(
+                tuple(rng.randint(1, n - 1) for _ in range(rng.randint(2, max_len))), n))
+        return vecs
+
+    def test_bitset_matches_scan(self):
+        # lengths up to 14 reach past the cap (2**13 sub-multisets and more)
+        vecs = self._sweep(34, 4000, 14) + [OVER_CAP]
+        assert sum(R.rule_subseq_2n(d) != [] for d in vecs) > 1000
+        for d in vecs:
+            assert R.rule_subseq_2n(d) == self._scan_both_sides(d), d
+
+    def test_bitset_is_existence(self):
+        # called directly the bitset has no cap: it sees OVER_CAP's witnesses,
+        # which the scan cannot
+        def exists(dims, target):
+            return any(sum(c) == target for r in range(4, len(dims) + 1)
+                       for c in itertools.combinations(dims, r))
+
+        vecs = self._sweep(35, 1500, 11) + [OVER_CAP]
+        hits = 0
+        for d in vecs:
+            for v in (d, d.complement()):
+                got = R._sums_to_with_four(v.dims, 2 * d.ambient)
+                assert got == exists(v.dims, 2 * d.ambient), v
+                hits += got
+        assert hits > 1000 and R._sums_to_with_four(OVER_CAP.dims, 100)
 
 
 class TestDomination:
